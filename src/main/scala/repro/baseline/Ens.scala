@@ -23,18 +23,13 @@ import repro.graph.KnnGraph
   * the S terms are dominated by prior mass and grow with h, drowning the
   * evidence from labels.
   *
-  * Candidate pruning: only the top `maxCandidates` nodes by posterior are
+  * Candidate pruning: only the top `MaxCandidates` nodes by posterior are
   * scored (ENS itself relies on bound-based pruning for tractability).
   */
-final class Ens(
-    graph: KnnGraph,
-    prior: Array[Double],
-    priorWeight: Double = 1.0,
-    maxCandidates: Int = 64,
-) {
+final class Ens(graph: KnnGraph, prior: Array[Double]) {
+  import Ens.{MaxCandidates, PriorWeight}
   require(prior.length == graph.n, "prior length must match graph size")
   require(prior.forall(p => p >= 0.0 && p <= 1.0), "priors must be probabilities")
-  require(priorWeight > 0, "prior pseudo-count must be positive")
 
   private val n = graph.n
   private val revNeighbors: Array[Array[Int]] = {
@@ -56,7 +51,7 @@ final class Ens(
       labeled.get(ns(j)).foreach { y => cnt += 1; if (y) pos += 1 }
       j += 1
     }
-    (priorWeight * prior(i) + pos) / (priorWeight + cnt)
+    (PriorWeight * prior(i) + pos) / (PriorWeight + cnt)
   }
 
   /** Posterior of i if we additionally observed (x → y). */
@@ -70,7 +65,7 @@ final class Ens(
       else labeled.get(nj).foreach { yy => cnt += 1; if (yy) pos += 1 }
       j += 1
     }
-    (priorWeight * prior(i) + pos) / (priorWeight + cnt)
+    (PriorWeight * prior(i) + pos) / (PriorWeight + cnt)
   }
 
   /** Select the next node to show given labels so far and the remaining
@@ -91,7 +86,7 @@ final class Ens(
     val sortedVals = order.map(p(_)).toArray
     val posOf = unlabeled.zipWithIndex.toMap // node -> index into p
 
-    val nCand = math.min(maxCandidates, unlabeled.length)
+    val nCand = math.min(MaxCandidates, unlabeled.length)
     var best = -1
     var bestU = Double.NegativeInfinity
     var c = 0
@@ -144,4 +139,12 @@ final class Ens(
     }
     px * (1.0 + topSumGiven(true)) + (1.0 - px) * topSumGiven(false)
   }
+}
+
+object Ens {
+  /** Pseudo-count w₀ of the prior γ_i in the posterior. */
+  private val PriorWeight = 1.0
+
+  /** Nodes scored by the lookahead per selection. */
+  private val MaxCandidates = 64
 }

@@ -16,17 +16,18 @@ final case class PlattModel(a: Double, b: Double) {
 
 object Platt {
 
-  /** Fit (A, B) on (score, label) pairs. A tiny ridge keeps the fit finite
-    * when the data is separable.
-    */
-  def fit(scores: IndexedSeq[Double], labels: IndexedSeq[Boolean], ridge: Double = 1e-6): PlattModel = {
+  /** L2 penalty on (A, B): keeps the fit finite when the data is separable. */
+  private val Ridge = 1e-6
+
+  /** Fit (A, B) on (score, label) pairs. */
+  def fit(scores: IndexedSeq[Double], labels: IndexedSeq[Boolean]): PlattModel = {
     require(scores.length == labels.length, "scores/labels length mismatch")
     require(scores.nonEmpty, "cannot calibrate on no data")
     val objective = new LBFGS.Objective {
       override def valueAndGradient(x: Array[Double]): (Double, Array[Double]) = {
         val a = x(0); val b = x(1)
-        var loss = ridge * (a * a + b * b)
-        var ga = 2 * ridge * a; var gb = 2 * ridge * b
+        var loss = Ridge * (a * a + b * b)
+        var ga = 2 * Ridge * a; var gb = 2 * Ridge * b
         var i = 0
         while (i < scores.length) {
           val z = a * scores(i) + b

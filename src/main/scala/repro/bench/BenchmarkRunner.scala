@@ -54,8 +54,6 @@ object BenchmarkRunner {
       multiscale: Boolean,
       needMd: Boolean,
       needGraph: Boolean,
-      sigma: Double = DefaultSigma,
-      useSparkForMd: Boolean = true,
   ): DatasetArtifacts = {
     val user = new SimulatedUser(spec, sf)
     val store = LocalVectorStore.build(spec, sf, multiscale)
@@ -63,17 +61,15 @@ object BenchmarkRunner {
       if (!needMd) None
       else {
         val vecs = store.vecs.toIndexedSeq
-        val graph = KnnGraph.nnDescent(vecs, DbAlignK, sigma)
-        Some(
-          if (useSparkForMd) DbAlign.fromGraphSpark(spark, graph, vecs)
-          else DbAlign.fromGraphLocal(graph, vecs))
+        val graph = KnnGraph.nnDescent(vecs, DbAlignK, DefaultSigma)
+        Some(DbAlign.fromGraphSpark(spark, graph, vecs))
       }
     val graphCtx =
       if (!needGraph) None
       else {
-        val coarse = LocalVectorStore.build(spec, sf, multiscale = false)
+        val coarse = if (multiscale) LocalVectorStore.build(spec, sf, multiscale = false) else store
         val vecs = coarse.vecs // sorted by imgId = 0..n-1, one patch per image
-        val graph = KnnGraph.nnDescent(vecs.toIndexedSeq, EnsK, sigma)
+        val graph = KnnGraph.nnDescent(vecs.toIndexedSeq, EnsK, DefaultSigma)
         Some(GraphContext(graph, vecs))
       }
     DatasetArtifacts(user, store, mD, graphCtx)
@@ -105,10 +101,7 @@ object BenchmarkRunner {
       case MethodConfig.Aligned(_, cfg) => cfg.lambdaD > 0
       case _ => false
     }
-    val needGraph = methods.exists {
-      case _: MethodConfig.EnsCfg | MethodConfig.Propagation => true
-      case _ => false
-    }
+    val needGraph = methods.exists(_.isInstanceOf[MethodConfig.EnsCfg])
     val arts = artifacts.getOrElse(prepare(spark, spec, sf, multiscale, needMd, needGraph))
     val bArts = spark.sparkContext.broadcast(arts)
     val tasks = for {

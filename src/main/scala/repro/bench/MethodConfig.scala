@@ -20,28 +20,18 @@ object MethodConfig {
   val QueryAlign: Aligned = Aligned("+Query align", AlignerConfig.QueryAlign)
   val SeeSaw: Aligned = Aligned("this work", AlignerConfig.SeeSaw)
 
-  /** Rocchio relevance feedback (Eq. 6 weights). */
-  final case class RocchioCfg(alpha: Double = 1.0, beta: Double = 0.5, gamma: Double = 0.25)
-      extends MethodConfig {
-    val name = "Rocchio"
-  }
+  /** Rocchio relevance feedback with the paper's Eq. 6 weights. */
+  case object Rocchio extends MethodConfig { val name = "Rocchio" }
 
-  /** Efficient Nonmyopic Search.
+  /** Efficient Nonmyopic Search over the `BenchmarkRunner.EnsK` graph.
     *
-    * @param k          kNN-graph degree (paper used 20 for ENS)
     * @param horizon    initial reward horizon t; -1 = remaining budget
     * @param calibrated Platt-calibrate the γ_i priors on ground truth
     */
-  final case class EnsCfg(k: Int = 20, horizon: Int = -1, calibrated: Boolean = false)
-      extends MethodConfig {
+  final case class EnsCfg(horizon: Int = -1, calibrated: Boolean = false) extends MethodConfig {
     require(horizon == -1 || horizon >= 1, "horizon must be -1 or >= 1")
     val name: String =
       if (horizon == -1 && !calibrated) "ENS"
       else s"ENS(t=${if (horizon == -1) "rem" else horizon.toString},${if (calibrated) "cal" else "raw"})"
   }
-
-  /** Full label propagation as the scorer (the expensive conceptual
-    * baseline of §4.2; the "prop." column of Table 6).
-    */
-  case object Propagation extends MethodConfig { val name = "prop." }
 }

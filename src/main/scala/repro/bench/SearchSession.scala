@@ -3,11 +3,11 @@ package repro.bench
 import repro.baseline.{Ens, Platt, Rocchio}
 import repro.core.{Example, Linalg, Metrics, QueryAligner}
 import repro.embed.ClipSim
-import repro.graph.{DbAlignMatrix, KnnGraph, LabelPropagation}
+import repro.graph.{DbAlignMatrix, KnnGraph}
 import repro.store.VectorStore
 
-/** Graph context for node-based methods (ENS, label propagation): a kNN
-  * graph over the coarse image vectors, node index = image id.
+/** Graph context for ENS, the node-based method: a kNN graph over the
+  * coarse image vectors, node index = image id.
   */
 final case class GraphContext(graph: KnnGraph, coarseVecs: Array[Array[Float]]) extends Serializable {
   require(graph.n == coarseVecs.length, "graph/vector count mismatch")
@@ -45,12 +45,10 @@ object SearchSession {
   ): SearchOutcome = {
     require(target > 0 && budget >= target, "need target > 0 and budget >= target")
     val trace = method match {
-      case MethodConfig.ZeroShot | _: MethodConfig.Aligned | _: MethodConfig.RocchioCfg =>
+      case MethodConfig.ZeroShot | _: MethodConfig.Aligned | MethodConfig.Rocchio =>
         vectorLoop(store, user, cat, method, multiscale, mD, target, budget)
       case e: MethodConfig.EnsCfg =>
         ensLoop(user, cat, e, graphCtx.getOrElse(sys.error("ENS needs a GraphContext")), target, budget)
-      case MethodConfig.Propagation =>
-        propagationLoop(user, cat, graphCtx.getOrElse(sys.error("prop. needs a GraphContext")), target, budget)
     }
     SearchOutcome(cat, method.name, trace, user.totalRelevant(cat),
       Metrics.averagePrecision(trace, user.totalRelevant(cat), target))
@@ -90,8 +88,7 @@ object SearchSession {
         examples ++= user.labelPatches(patches, cat)
         q = method match {
           case MethodConfig.Aligned(_, cfg) => QueryAligner.align(q0, examples.toIndexedSeq, cfg, mD)
-          case r: MethodConfig.RocchioCfg =>
-            Rocchio(r.alpha, r.beta, r.gamma).update(q0, examples.toIndexedSeq)
+          case MethodConfig.Rocchio => Rocchio().update(q0, examples.toIndexedSeq)
           case _ => q
         }
       }
@@ -152,35 +149,6 @@ object SearchSession {
       labeled += pick -> relevant
       trace += relevant
       if (relevant) { found += 1; zeroShotPhase = false }
-      shown += 1
-    }
-    trace.toIndexedSeq
-  }
-
-  private def propagationLoop(
-      user: SimulatedUser,
-      cat: Int,
-      ctx: GraphContext,
-      target: Int,
-      budget: Int,
-  ): IndexedSeq[Boolean] = {
-    val q0 = user.textEmbedding(cat)
-    val init = ctx.coarseVecs.map(v => Platt.rawProbability(Linalg.dot(v, q0)))
-    var labeled = Map.empty[Int, Double]
-    val trace = scala.collection.mutable.ArrayBuffer.empty[Boolean]
-    var found = 0
-    var shown = 0
-    while (found < target && shown < budget && labeled.size < ctx.graph.n) {
-      val f =
-        if (labeled.isEmpty) init
-        else LabelPropagation.propagate(ctx.graph, labeled, init = Some(init))
-      val pick = f.indices
-        .filterNot(labeled.contains)
-        .maxBy(i => (f(i), -i))
-      val relevant = user.isRelevant(pick.toLong, cat)
-      labeled += pick -> (if (relevant) 1.0 else 0.0)
-      trace += relevant
-      if (relevant) found += 1
       shown += 1
     }
     trace.toIndexedSeq

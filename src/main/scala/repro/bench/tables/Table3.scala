@@ -60,7 +60,7 @@ object Table3 {
       MethodConfig.ZeroShot,
       MethodConfig.FewShot,
       MethodConfig.EnsCfg(),
-      MethodConfig.RocchioCfg(),
+      MethodConfig.Rocchio,
       MethodConfig.SeeSaw,
     )
     val perDataset = specs.map { spec =>

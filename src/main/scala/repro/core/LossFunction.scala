@@ -7,7 +7,7 @@ final case class Example(vec: Array[Float], positive: Boolean)
 
 object LossFunction {
   /** Logit scale equivalent to raw CLIP embedding norms (see class doc). */
-  val DefaultFeatureScale = 10.0
+  val FeatureScale = 10.0
 }
 
 /** The SeeSaw query-alignment loss (paper Eq. 1–3, Table 1):
@@ -22,7 +22,7 @@ object LossFunction {
   * λ_D = 0 is "query alignment" alone. Cost is O(|feedback|·dim + dim²),
   * independent of database size — the paper's interactivity requirement.
   *
-  * `featureScale` multiplies the logits (w·x): raw CLIP image embeddings
+  * `FeatureScale` multiplies the logits (w·x): raw CLIP image embeddings
   * have norms of ~10–30 and the aligner trains on them directly (retrieval
   * normalizes separately), so the logistic terms actually saturate. Our
   * synthetic embeddings are unit-norm; the scale restores the equivalent
@@ -35,9 +35,8 @@ final class LossFunction(
     lambdaC: Double,
     lambdaD: Double,
     mD: Option[DbAlignMatrix],
-    featureScale: Double = LossFunction.DefaultFeatureScale,
 ) extends LBFGS.Objective {
-  require(featureScale > 0, "featureScale must be positive")
+  import LossFunction.FeatureScale
   require(lambda >= 0 && lambdaC >= 0 && lambdaD >= 0, "penalties must be non-negative")
   require(lambdaD == 0 || mD.isDefined, "λ_D > 0 requires an M_D matrix")
   require(mD.forall(_.dim == q0.length), "M_D dimension mismatch")
@@ -62,10 +61,10 @@ final class LossFunction(
     var i = 0
     while (i < examples.length) {
       val ex = examples(i)
-      val z = featureScale * Linalg.dotDF(w, ex.vec)
+      val z = FeatureScale * Linalg.dotDF(w, ex.vec)
       val y = if (ex.positive) 1.0 else 0.0
       loss += log1pExp(z) - y * z
-      val coeff = (sigmoid(z) - y) * featureScale
+      val coeff = (sigmoid(z) - y) * FeatureScale
       var d = 0
       while (d < dim) { grad(d) += coeff * ex.vec(d); d += 1 }
       i += 1

@@ -7,8 +7,6 @@ final case class AlignerConfig(
     lambda: Double = 100.0, // norm regularization λ
     lambdaC: Double = 10.0, // CLIP alignment λ_c (0 → few-shot baseline)
     lambdaD: Double = 1000.0, // DB alignment λ_D (0 → no M_D term)
-    lbfgsMemory: Int = 10,
-    lbfgsMaxIters: Int = 80,
 ) {
   require(lambda >= 0 && lambdaC >= 0 && lambdaD >= 0, "penalties must be non-negative")
 }
@@ -29,11 +27,14 @@ object AlignerConfig {
   */
 object QueryAligner {
 
+  private val LbfgsMemory = 10
+  private val LbfgsMaxIters = 80
+
   /** The next query vector (unit norm).
     *
     * With no feedback yet, the minimizer of the regularizers alone is q₀ up
     * to scale, so we return q₀ directly — zero-shot and SeeSaw coincide on
-    * round zero, as in the paper.
+    * round zero, as in the paper. A config with λ_D > 0 requires `mD`.
     */
   def align(
       q0: Array[Float],
@@ -42,14 +43,13 @@ object QueryAligner {
       mD: Option[DbAlignMatrix] = None,
   ): Array[Float] = {
     if (examples.isEmpty) return Linalg.normalize(q0)
-    val effLambdaD = if (mD.isDefined) cfg.lambdaD else 0.0
-    val loss = new LossFunction(q0, examples, cfg.lambda, cfg.lambdaC, effLambdaD, mD)
+    val loss = new LossFunction(q0, examples, cfg.lambda, cfg.lambdaC, cfg.lambdaD, mD)
     // Warm start at q₀: a stationary-adjacent, well-scaled starting point.
     val res = LBFGS.minimize(
       loss,
       Linalg.toDouble(Linalg.normalize(q0)),
-      memory = cfg.lbfgsMemory,
-      maxIters = cfg.lbfgsMaxIters,
+      memory = LbfgsMemory,
+      maxIters = LbfgsMaxIters,
       gradTol = 1e-5,
     )
     val w = res.x

@@ -40,12 +40,7 @@ final case class DatasetSpec(
     clutterConcepts: Int, // background concepts blended per image
     dim: Int,
     seed: Long,
-    // Object weight in a region embedding is (area fraction)^prominence:
-    // sublinear (<1) because CLIP attends to salient objects super-linearly
-    // relative to their pixel share (photos are object-centric).
-    prominence: Double = 0.7,
 ) {
-  require(prominence > 0 && prominence <= 1, "prominence exponent in (0,1]")
   require(minObjPerImage >= (if (centered) 1 else 0) && maxObjPerImage >= minObjPerImage,
     "object count range invalid")
   require(objScaleRange._1 > 0 && objScaleRange._2 <= 1.0 &&
@@ -64,6 +59,12 @@ final case class DatasetSpec(
 }
 
 object DatasetSpec {
+  /** Object weight in a region embedding is (area fraction)^Prominence:
+    * sublinear (<1) because CLIP attends to salient objects super-linearly
+    * relative to their pixel share (photos are object-centric).
+    */
+  val Prominence = 0.7
+
   /** Default embedding dimension for benches; tests pass dim=64. Paper: 512. */
   val BenchDim = 128
 

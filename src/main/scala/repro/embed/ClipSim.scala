@@ -81,7 +81,7 @@ object ClipSim {
   }
 
   /** Unit embedding of a region of an image. Object weights are the area
-    * fraction raised to the spec's prominence exponent (see DatasetSpec):
+    * fraction raised to the prominence exponent (see DatasetSpec):
     * CLIP-like encoders weight salient objects super-linearly vs pixel area.
     */
   def embedRegion(spec: DatasetSpec, meta: ImageMeta, region: Box): Array[Float] = {
@@ -93,7 +93,7 @@ object ClipSim {
       val o = meta.objects(i)
       val frac = o.box.intersectionArea(region) / region.area
       if (frac > 0) {
-        Linalg.axpy(math.pow(frac, spec.prominence), instanceVector(spec, meta, i), acc)
+        Linalg.axpy(math.pow(frac, DatasetSpec.Prominence), instanceVector(spec, meta, i), acc)
         objCover += frac
       }
       i += 1

@@ -29,7 +29,6 @@ final case class ConceptSpace(
     deficitGoodRange: (Double, Double),
     deficitBadRange: (Double, Double),
     localitySplitFrac: Double,
-    splitDistance: Double = 1.2,
 ) {
   require(dim > 0 && nCats > 0 && nBg > 0, "dimensions and counts must be positive")
   require(deficitGoodFrac >= 0 && deficitGoodFrac <= 1, "deficitGoodFrac in [0,1]")
@@ -124,8 +123,15 @@ final case class ConceptSpace(
       val dir = orthogonalize(
         Linalg.toDouble(Rng.gaussianVector(Rng.key(seed, SplitDirStream, k), dim)), c)
       val p = c.clone()
-      Linalg.axpyD(splitDistance, dir, p)
+      Linalg.axpyD(ConceptSpace.SplitDistance, dir, p)
       Linalg.toFloat(Linalg.normalizeD(p))
     }
   }
+}
+
+object ConceptSpace {
+  /** Offset of a split category's second mode from its prototype, along a
+    * unit direction orthogonal to it: cos(mode 0, mode 1) = 1/sqrt(1+d²).
+    */
+  val SplitDistance = 1.2
 }

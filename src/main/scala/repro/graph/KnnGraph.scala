@@ -72,6 +72,15 @@ final case class KnnGraph(
   */
 object KnnGraph {
 
+  /** Seed of NN-descent's random initial neighbor lists. */
+  private val NnDescentSeed = 5L
+
+  /** NN-descent stops after this many sweeps, or earlier once a sweep
+    * updates fewer than `NnDescentConvergedFrac · n · k` neighbor entries.
+    */
+  private val NnDescentMaxIters = 12
+  private val NnDescentConvergedFrac = 0.001
+
   def gaussianWeight(sqDist: Double, sigma: Double): Double =
     math.exp(-sqDist / (2.0 * sigma * sigma))
 
@@ -98,18 +107,11 @@ object KnnGraph {
     *
     * The distance computations (the dominant cost) run in parallel over
     * fixed node blocks while insertions are applied sequentially in node
-    * order, so the result is deterministic in (vecs, k, seed) regardless of
+    * order, so the result is deterministic in (vecs, k) regardless of
     * thread scheduling — required for reproducible benchmarks over
     * million-vector multiscale databases.
     */
-  def nnDescent(
-      vecs: IndexedSeq[Array[Float]],
-      k: Int,
-      sigma: Double,
-      maxIters: Int = 12,
-      seed: Long = 5,
-      convergedFrac: Double = 0.001,
-  ): KnnGraph = {
+  def nnDescent(vecs: IndexedSeq[Array[Float]], k: Int, sigma: Double): KnnGraph = {
     val n = vecs.length
     require(k > 0 && k < n, s"need 0 < k < n, got k=$k n=$n")
     val vecArr: Array[Array[Float]] = vecs.toArray // flat ref copy for hot loops
@@ -121,7 +123,7 @@ object KnnGraph {
       val picks = scala.collection.mutable.LinkedHashSet.empty[Int]
       var t = 0
       while (picks.size < k) {
-        val c = Rng.int(Rng.key(seed, i, t), n)
+        val c = Rng.int(Rng.key(NnDescentSeed, i, t), n)
         if (c != i) picks += c
         t += 1
       }
@@ -145,7 +147,7 @@ object KnnGraph {
     val BlockSize = 4096
     var iter = 0
     var updates = Long.MaxValue
-    while (iter < maxIters && updates > (convergedFrac * n * k).toLong) {
+    while (iter < NnDescentMaxIters && updates > (NnDescentConvergedFrac * n * k).toLong) {
       updates = 0
       // Reverse-neighbor lists (CSR) for the general-join step.
       val revOff = new Array[Int](n + 1)

@@ -78,15 +78,4 @@ object LabelPropagation {
       f
     }
   }
-
-  /** One-shot convenience wrapper (tests, small graphs). */
-  def propagate(
-      graph: KnnGraph,
-      labels: Map[Int, Double],
-      prior: Double = 0.0,
-      maxIters: Int = 50,
-      tol: Double = 1e-4,
-      init: Option[Array[Double]] = None,
-  ): Array[Double] =
-    new Propagator(graph).propagate(labels, prior, maxIters, tol, init)
 }

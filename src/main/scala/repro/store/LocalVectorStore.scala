@@ -2,7 +2,7 @@ package repro.store
 
 import repro.core.Linalg
 import repro.data.{DatasetSpec, ImageCorpus}
-import repro.embed.{Box, ClipSim, PatchRecord}
+import repro.embed.{ClipSim, PatchRecord}
 
 /** In-memory vector store over flat arrays.
   *
@@ -20,7 +20,6 @@ final class LocalVectorStore(records: IndexedSeq[PatchRecord]) extends VectorSto
   val vecs: Array[Array[Float]] = sorted.map(_.vec)
   val imgIds: Array[Long] = sorted.map(_.imgId)
   val patchIds: Array[Int] = sorted.map(_.patchId)
-  private val boxes: Array[Box] = sorted.map(_.box)
 
   override val dim: Int = vecs(0).length
   override val nVectors: Long = vecs.length.toLong
@@ -43,9 +42,6 @@ final class LocalVectorStore(records: IndexedSeq[PatchRecord]) extends VectorSto
     while (i < sorted.length && imgIds(i) == imgId) { buf += sorted(i); i += 1 }
     buf.result()
   }
-
-  /** The patch vector at flat index i (used by graph builders). */
-  def vectorAt(i: Int): Array[Float] = vecs(i)
 
   override def topImages(q: Array[Float], k: Int, exclude: Set[Long]): IndexedSeq[ImageHit] = {
     require(q.length == dim, s"query dim ${q.length} != store dim $dim")

@@ -8,7 +8,7 @@ class BenchmarkRunnerSpec extends SparkSpec {
   private val sf = TestData.OracleSf // 50 images, fast
 
   test("run produces one result per (category, method)") {
-    val methods = Seq[MethodConfig](MethodConfig.ZeroShot, MethodConfig.RocchioCfg())
+    val methods = Seq[MethodConfig](MethodConfig.ZeroShot, MethodConfig.Rocchio)
     val results = BenchmarkRunner.run(spark, spec, sf, methods, multiscale = false,
       target = 3, budget = 12)
     val user = new SimulatedUser(spec, sf)
@@ -40,8 +40,9 @@ class BenchmarkRunnerSpec extends SparkSpec {
       needMd = false, needGraph = false)
     assert(a1.mD.isEmpty && a1.graphCtx.isEmpty)
     val a2 = BenchmarkRunner.prepare(spark, spec, sf, multiscale = false,
-      needMd = true, needGraph = true, useSparkForMd = false)
+      needMd = true, needGraph = true)
     assert(a2.mD.isDefined && a2.graphCtx.isDefined)
+    assert(a2.graphCtx.get.coarseVecs eq a2.store.vecs) // coarse store built once
     assert(a2.mD.get.dim == spec.dim)
     assert(a2.graphCtx.get.graph.n == a2.user.nImages)
   }

@@ -51,8 +51,7 @@ class SearchSessionSpec extends AnyFunSuite {
   test("AP is in [0,1] for all methods") {
     val methods = Seq[MethodConfig](
       MethodConfig.ZeroShot, MethodConfig.FewShot, MethodConfig.QueryAlign,
-      MethodConfig.SeeSaw, MethodConfig.RocchioCfg(),
-      MethodConfig.EnsCfg(), MethodConfig.Propagation)
+      MethodConfig.SeeSaw, MethodConfig.Rocchio, MethodConfig.EnsCfg())
     methods.foreach { m =>
       val o = SearchSession.run(store, user, cat, m, multiscale = true,
         mD = mD, graphCtx = Some(graphCtx), target = 5, budget = 20)
@@ -78,12 +77,6 @@ class SearchSessionSpec extends AnyFunSuite {
   test("ENS requires a graph context") {
     assertThrows[RuntimeException] {
       SearchSession.run(store, user, cat, MethodConfig.EnsCfg(), multiscale = false)
-    }
-  }
-
-  test("propagation requires a graph context") {
-    assertThrows[RuntimeException] {
-      SearchSession.run(store, user, cat, MethodConfig.Propagation, multiscale = false)
     }
   }
 

@@ -113,9 +113,14 @@ class QueryAlignerSpec extends AnyFunSuite {
   test("aligner is deterministic") {
     val q0 = unit(71)
     val ex = cluster(unit(72), 5, 0.2, 73).map(Example(_, positive = true))
-    val a = QueryAligner.align(q0, ex, AlignerConfig.SeeSaw)
-    val b = QueryAligner.align(q0, ex, AlignerConfig.SeeSaw)
+    val a = QueryAligner.align(q0, ex, AlignerConfig.QueryAlign)
+    val b = QueryAligner.align(q0, ex, AlignerConfig.QueryAlign)
     assert(a.sameElements(b))
+  }
+
+  test("λ_D > 0 without an M_D matrix is rejected") {
+    val ex = cluster(unit(81), 3, 0.2, 82).map(Example(_, positive = true))
+    assertThrows[IllegalArgumentException](QueryAligner.align(unit(83), ex, AlignerConfig.SeeSaw))
   }
 
   test("config presets match the paper's defaults") {

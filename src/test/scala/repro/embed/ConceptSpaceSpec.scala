@@ -104,7 +104,7 @@ class ConceptSpaceSpec extends AnyFunSuite {
     val cs = space(splitFrac = 1.0)
     for (k <- 0 until 10) {
       val cos = Linalg.cosine(cs.modeProto(k, 0), cs.modeProto(k, 1))
-      val expected = 1.0 / math.sqrt(1.0 + cs.splitDistance * cs.splitDistance)
+      val expected = 1.0 / math.sqrt(1.0 + ConceptSpace.SplitDistance * ConceptSpace.SplitDistance)
       assert(math.abs(cos - expected) < 1e-4, s"cat $k cos $cos")
     }
   }

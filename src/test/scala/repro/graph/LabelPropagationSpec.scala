@@ -21,7 +21,7 @@ class LabelPropagationSpec extends AnyFunSuite {
 
   test("labels propagate within clusters") {
     val (_, g) = twoClusters(30, 1)
-    val f = LabelPropagation.propagate(g, Map(0 -> 1.0, 30 -> 0.0))
+    val f = new LabelPropagation.Propagator(g).propagate(Map(0 -> 1.0, 30 -> 0.0))
     // Cluster 1 (0..29) should be near 1, cluster 2 near 0.
     val c1Mean = (1 until 30).map(f(_)).sum / 29
     val c2Mean = (31 until 60).map(f(_)).sum / 29
@@ -31,50 +31,51 @@ class LabelPropagationSpec extends AnyFunSuite {
 
   test("labeled nodes stay clamped") {
     val (_, g) = twoClusters(20, 2)
-    val f = LabelPropagation.propagate(g, Map(3 -> 1.0, 25 -> 0.0))
+    val f = new LabelPropagation.Propagator(g).propagate(Map(3 -> 1.0, 25 -> 0.0))
     assert(f(3) == 1.0)
     assert(f(25) == 0.0)
   }
 
   test("scores stay within [0,1]") {
     val (_, g) = twoClusters(25, 3)
-    val f = LabelPropagation.propagate(g, Map(0 -> 1.0, 40 -> 0.0, 10 -> 1.0))
+    val f = new LabelPropagation.Propagator(g).propagate(Map(0 -> 1.0, 40 -> 0.0, 10 -> 1.0))
     f.foreach(v => assert(v >= -1e-12 && v <= 1.0 + 1e-12))
   }
 
   test("no labels leaves the prior everywhere") {
     val (_, g) = twoClusters(10, 4)
-    val f = LabelPropagation.propagate(g, Map.empty, prior = 0.3)
+    val f = new LabelPropagation.Propagator(g).propagate(Map.empty, prior = 0.3)
     f.foreach(v => assert(math.abs(v - 0.3) < 1e-9))
   }
 
   test("init array is honored and not mutated") {
     val (_, g) = twoClusters(10, 5)
     val init = Array.fill(g.n)(0.7)
-    val f = LabelPropagation.propagate(g, Map(0 -> 1.0), init = Some(init), maxIters = 1)
+    val f = new LabelPropagation.Propagator(g).propagate(Map(0 -> 1.0), init = Some(init), maxIters = 1)
     assert(init.forall(_ == 0.7)) // propagate must clone
     assert(f(0) == 1.0)
   }
 
   test("all-positive labels pull everything up") {
     val (_, g) = twoClusters(15, 6)
-    val f = LabelPropagation.propagate(g, Map(0 -> 1.0, 1 -> 1.0, 16 -> 1.0), prior = 0.0)
+    val f = new LabelPropagation.Propagator(g).propagate(Map(0 -> 1.0, 1 -> 1.0, 16 -> 1.0), prior = 0.0)
     val meanNear = (2 until 15).map(f(_)).sum / 13
     assert(meanNear > 0.5, s"mean $meanNear")
   }
 
   test("more iterations spread labels further") {
     val (_, g) = twoClusters(40, 7)
-    val early = LabelPropagation.propagate(g, Map(0 -> 1.0), maxIters = 1, tol = 0)
-    val late = LabelPropagation.propagate(g, Map(0 -> 1.0), maxIters = 40, tol = 0)
+    val early = new LabelPropagation.Propagator(g).propagate(Map(0 -> 1.0), maxIters = 1, tol = 0)
+    val late = new LabelPropagation.Propagator(g).propagate(Map(0 -> 1.0), maxIters = 40, tol = 0)
     assert(late.sum >= early.sum - 1e-9, s"late ${late.sum} early ${early.sum}")
   }
 
   test("rejects invalid labels") {
     val (_, g) = twoClusters(5, 8)
-    assertThrows[IllegalArgumentException](LabelPropagation.propagate(g, Map(0 -> 0.5)))
-    assertThrows[IllegalArgumentException](LabelPropagation.propagate(g, Map(99 -> 1.0)))
-    assertThrows[IllegalArgumentException](LabelPropagation.propagate(g, Map.empty, prior = 1.5))
+    val prop = new LabelPropagation.Propagator(g)
+    assertThrows[IllegalArgumentException](prop.propagate(Map(0 -> 0.5)))
+    assertThrows[IllegalArgumentException](prop.propagate(Map(99 -> 1.0)))
+    assertThrows[IllegalArgumentException](prop.propagate(Map.empty, prior = 1.5))
   }
 
   test("Propagator reuse matches the one-shot API") {
@@ -82,7 +83,7 @@ class LabelPropagationSpec extends AnyFunSuite {
     val prop = new LabelPropagation.Propagator(g)
     val labels = Map(0 -> 1.0, 21 -> 0.0)
     val a = prop.propagate(labels)
-    val b = LabelPropagation.propagate(g, labels)
+    val b = new LabelPropagation.Propagator(g).propagate(labels) // one-shot use
     assert(a.sameElements(b))
     // Reuse with different labels works.
     val c = prop.propagate(Map(5 -> 1.0))

@@ -19,14 +19,18 @@ class IdealVectorSpec extends AnyFunSuite {
   private lazy val store = LocalVectorStore.build(spec, sf, multiscale = false)
   private lazy val metas = ImageCorpus.metasLocal(spec, sf)
 
-  /** Overfit linear model on all coarse vectors (the paper's ideal vector). */
+  /** Overfit linear model on all coarse vectors (the paper's ideal vector):
+    * the few-shot loss with a tiny norm penalty, minimized from q₀ with a
+    * larger iteration cap than the interactive aligner allows.
+    */
   private def idealVector(cat: Int): Array[Float] = {
     val examples = metas.map { m =>
       Example(store.patchesOf(m.imgId).head.vec, m.objects.exists(_.cat == cat))
     }
-    QueryAligner.align(
-      spec.conceptSpace.textEmbedding(cat), examples,
-      AlignerConfig(lambda = 0.01, lambdaC = 0.0, lambdaD = 0.0, lbfgsMaxIters = 200))
+    val q0 = spec.conceptSpace.textEmbedding(cat)
+    val loss = new LossFunction(q0, examples, lambda = 0.01, lambdaC = 0.0, lambdaD = 0.0, mD = None)
+    val w = LBFGS.minimize(loss, Linalg.toDouble(Linalg.normalize(q0)), maxIters = 200, gradTol = 1e-5).x
+    if (Linalg.normD(w) < 1e-9) Linalg.normalize(q0) else Linalg.toFloat(Linalg.normalizeD(w))
   }
 
   private def apOf(q: Array[Float], cat: Int): Double = {

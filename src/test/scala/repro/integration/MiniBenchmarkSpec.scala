@@ -16,7 +16,7 @@ class MiniBenchmarkSpec extends SparkSpec {
 
   private lazy val methods = Seq[MethodConfig](
     MethodConfig.ZeroShot, MethodConfig.FewShot, MethodConfig.QueryAlign,
-    MethodConfig.SeeSaw, MethodConfig.RocchioCfg())
+    MethodConfig.SeeSaw, MethodConfig.Rocchio)
 
   private lazy val results =
     BenchmarkRunner.run(spark, spec, sf, methods, multiscale = true)
