@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.bench.tables.{BenchDefaults, Table2}
+import repro.bench.tables.Table2
 
 /** Regenerates Table 2 (the SeeSaw optimization ladder) and checks the
   * paper's qualitative shape. Output is written to bench_results/table2.txt
@@ -18,7 +18,7 @@ class Table2Bench extends SparkSpec {
     row(panel, label).last
 
   test("render and persist Table 2") {
-    val text = Table2.renderPaper + "\n" + result.render
+    val text = Table2.Paper + "\n" + result.render
     println(text)
     BenchOutput.write("table2.txt", text)
     assert(result.datasets == Seq("LVIS", "ObjNet", "COCO", "BDD"))

@@ -14,7 +14,7 @@ class Table3Bench extends SparkSpec {
     panel.find(_.label == label).get.withAvg.last
 
   test("render and persist Table 3") {
-    val text = Table3.renderPaper + "\n" + result.render
+    val text = Table3.Paper + "\n" + result.render
     println(text)
     BenchOutput.write("table3.txt", text)
     assert(result.allRows.map(_.label) == Table3.RowLabels)

@@ -9,7 +9,7 @@ class Table4Bench extends SparkSpec {
   private lazy val result = Table4.compute(spark)
 
   test("render and persist Table 4") {
-    val text = Table4.PaperKnown + "\n" + result.render
+    val text = Table4.Paper + "\n" + result.render
     println(text)
     BenchOutput.write("table4.txt", text)
     assert(result.raw.size == 4 && result.calibrated.size == 4)

@@ -11,7 +11,7 @@ class Table5Bench extends SparkSpec {
   private lazy val result = Table5.compute(spark)
 
   test("render and persist Table 5") {
-    val text = Table5.PaperCells + "\n" + result.render
+    val text = Table5.Paper + "\n" + result.render
     println(text)
     BenchOutput.write("table5.txt", text)
   }

@@ -17,7 +17,7 @@ class Table7Bench extends SparkSpec {
   }
 
   test("render and persist Table 7") {
-    val text = Table7.renderPaper + "\n" + result.render
+    val text = Table7.Paper + "\n" + result.render
     println(text)
     BenchOutput.write("table7.txt", text)
     assert(result.rows.size == Table7.Grid.size)

@@ -5,7 +5,7 @@ import repro.bench.tables._
 import repro.data.DatasetSpec
 import repro.embed.ClipSim
 
-/** Shared spark-submit bootstrap for the table jobs. */
+/** Shared spark-submit bootstrap for the jobs. */
 object JobSession {
   def create(name: String): SparkSession =
     SparkSession.builder
@@ -15,9 +15,6 @@ object JobSession {
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .config("spark.ui.enabled", "false")
       .getOrCreate()
-
-  def sfArg(args: Array[String]): Double =
-    args.headOption.map(_.toDouble).getOrElse(BenchDefaults.sf)
 }
 
 /** Runs the one-time preprocessing pipeline (paper §2.4) for each corpus and
@@ -27,10 +24,10 @@ object JobSession {
 object PreprocessJob {
   def main(args: Array[String]): Unit = {
     val out = args.headOption.getOrElse("/tmp/seesaw-vectors")
-    val sf = args.lift(1).map(_.toDouble).getOrElse(BenchDefaults.sf)
+    val sf = args.lift(1).map(_.toDouble).getOrElse(DatasetSpec.BenchSf)
     val spark = JobSession.create("seesaw-preprocess")
     try {
-      DatasetSpec.all(BenchDefaults.dim).foreach { spec =>
+      DatasetSpec.all().foreach { spec =>
         val df = ClipSim.patchVectors(spark, spec, sf, multiscale = true)
         df.write.mode("overwrite").parquet(s"$out/${spec.name.toLowerCase}")
         println(s"[preprocess] ${spec.name}: ${df.count()} patch vectors -> $out/${spec.name.toLowerCase}")
@@ -39,69 +36,35 @@ object PreprocessJob {
   }
 }
 
-/** Table 2: SeeSaw optimization ladder. Usage: Table2Job [sf] */
-object Table2Job {
+/** Regenerates one paper table: prints its published values, then the
+  * measured ones. Usage: TableJob <2|3|4|5|6|7> [sf, or Table 6's size
+  * multiplier]. An unknown table is rejected before Spark starts.
+  */
+object TableJob {
   def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("seesaw-table2")
+    val (paper, measure) = table(args)
+    val spark = JobSession.create(s"seesaw-table${args(0)}")
     try {
-      println(Table2.renderPaper)
-      println(Table2.compute(spark, JobSession.sfArg(args)).render)
+      println(paper)
+      println(measure(spark))
     } finally spark.stop()
   }
-}
 
-/** Table 3: baseline comparison (no multiscale). Usage: Table3Job [sf] */
-object Table3Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("seesaw-table3")
-    try {
-      println(Table3.renderPaper)
-      println(Table3.compute(spark, JobSession.sfArg(args)).render)
-    } finally spark.stop()
-  }
-}
-
-/** Table 4: ENS horizon/calibration sensitivity. Usage: Table4Job [sf] */
-object Table4Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("seesaw-table4")
-    try {
-      println(Table4.PaperKnown)
-      println(Table4.compute(spark, JobSession.sfArg(args)).render)
-    } finally spark.stop()
-  }
-}
-
-/** Table 5: simulated annotation timing. Usage: Table5Job [sf] */
-object Table5Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("seesaw-table5")
-    try {
-      println(Table5.PaperCells)
-      println(Table5.compute(spark, JobSession.sfArg(args)).render)
-    } finally spark.stop()
-  }
-}
-
-/** Table 6: per-iteration latency vs database size. Usage: Table6Job [scale] */
-object Table6Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("seesaw-table6")
-    try {
-      println(Table6.Paper)
-      val scale = args.headOption.map(_.toDouble).getOrElse(BenchDefaults.t6Scale)
-      println(Table6.compute(spark, scale = scale).render)
-    } finally spark.stop()
-  }
-}
-
-/** Table 7: hyperparameter sweep. Usage: Table7Job [sf] */
-object Table7Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("seesaw-table7")
-    try {
-      println(Table7.renderPaper)
-      println(Table7.compute(spark, JobSession.sfArg(args)).render)
-    } finally spark.stop()
+  /** The published text of the table `args(0)` names, and the computation
+    * of its measured text at the scale `args(1)` gives.
+    */
+  private def table(args: Array[String]): (String, SparkSession => String) = {
+    val arg = args.lift(1).map(_.toDouble)
+    val sf = arg.getOrElse(DatasetSpec.BenchSf)
+    args.headOption match {
+      case Some("2") => (Table2.Paper, Table2.compute(_, sf).render)
+      case Some("3") => (Table3.Paper, Table3.compute(_, sf).render)
+      case Some("4") => (Table4.Paper, Table4.compute(_, sf).render)
+      case Some("5") => (Table5.Paper, Table5.compute(_, sf).render)
+      case Some("6") => (Table6.Paper, spark => arg.fold(Table6.compute(spark))(Table6.compute(spark, _)).render)
+      case Some("7") => (Table7.Paper, Table7.compute(_, sf).render)
+      case _ => throw new IllegalArgumentException(
+        "usage: TableJob <2|3|4|5|6|7> [sf, or Table 6's size multiplier]")
+    }
   }
 }

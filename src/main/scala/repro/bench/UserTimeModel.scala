@@ -38,12 +38,6 @@ final case class UserTimeModel(
     val c = cell(marked, seesaw)
     math.max(minSeconds, c.meanSeconds + c.sdSeconds * Rng.gaussian(key))
   }
-
-  /** Total annotation time of a search trace (one sample path). */
-  def traceTime(seed: Long, trace: Seq[Boolean], seesaw: Boolean): Double =
-    trace.zipWithIndex.map { case (marked, i) =>
-      sample(Rng.key(seed, i.toLong, if (seesaw) 1L else 0L), marked, seesaw)
-    }.sum
 }
 
 object UserTimeModel {

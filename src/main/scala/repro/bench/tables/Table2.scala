@@ -14,90 +14,44 @@ import repro.data.DatasetSpec
   */
 object Table2 {
 
-  final case class Result(
-      datasets: Seq[String],
-      hardCounts: Seq[Int],
-      allRows: Seq[PanelRow],
-      hardRows: Seq[PanelRow],
-  ) {
-    def render: String = {
-      val header = datasets :+ "avg."
-      TableText.render("Table 2 (measured) — all queries", header, allRows.map(r => r.label -> r.withAvg)) +
-        TableText.render(
-          s"Table 2 (measured) — hard subset (counts: ${datasets.zip(hardCounts).map { case (d, c) => s"$d=$c" }.mkString(", ")})",
-          header, hardRows.map(r => r.label -> r.withAvg))
-    }
-  }
-
   val RowLabels: Seq[String] =
     Seq("zero-shot CLIP", "+multiscale", "+few-shot CLIP", "+Query align", "+DB align")
 
-  /** Paper values (mAP), all-queries panel then hard panel; columns LVIS,
-    * ObjNet, COCO, BDD, avg.
-    */
-  val PaperAll: Seq[(String, Seq[Double])] = Seq(
-    "zero-shot CLIP" -> Seq(0.63, 0.64, 0.90, 0.74, 0.72),
-    "+multiscale" -> Seq(0.70, 0.64, 0.95, 0.76, 0.76),
-    "+few-shot CLIP" -> Seq(0.67, 0.59, 0.87, 0.68, 0.70),
-    "+Query align" -> Seq(0.75, 0.69, 0.96, 0.77, 0.79),
-    "+DB align" -> Seq(0.76, 0.70, 0.96, 0.79, 0.80),
-  )
-  val PaperHard: Seq[(String, Seq[Double])] = Seq(
-    "zero-shot CLIP" -> Seq(0.19, 0.28, 0.27, 0.02, 0.19),
-    "+multiscale" -> Seq(0.32, 0.28, 0.58, 0.10, 0.32),
-    "+few-shot CLIP" -> Seq(0.34, 0.28, 0.57, 0.07, 0.31),
-    "+Query align" -> Seq(0.42, 0.39, 0.74, 0.20, 0.44),
-    "+DB align" -> Seq(0.44, 0.40, 0.75, 0.24, 0.46),
+  /** The published values (mAP); columns LVIS, ObjNet, COCO, BDD, avg. */
+  val Paper: String = PanelResult.paper("Table 2", "avg.",
+    all = Seq(
+      "zero-shot CLIP" -> Seq(0.63, 0.64, 0.90, 0.74, 0.72),
+      "+multiscale" -> Seq(0.70, 0.64, 0.95, 0.76, 0.76),
+      "+few-shot CLIP" -> Seq(0.67, 0.59, 0.87, 0.68, 0.70),
+      "+Query align" -> Seq(0.75, 0.69, 0.96, 0.77, 0.79),
+      "+DB align" -> Seq(0.76, 0.70, 0.96, 0.79, 0.80),
+    ),
+    hard = Seq(
+      "zero-shot CLIP" -> Seq(0.19, 0.28, 0.27, 0.02, 0.19),
+      "+multiscale" -> Seq(0.32, 0.28, 0.58, 0.10, 0.32),
+      "+few-shot CLIP" -> Seq(0.34, 0.28, 0.57, 0.07, 0.31),
+      "+Query align" -> Seq(0.42, 0.39, 0.74, 0.20, 0.44),
+      "+DB align" -> Seq(0.44, 0.40, 0.75, 0.24, 0.46),
+    ),
   )
 
-  def renderPaper: String = {
-    val header = Seq("LVIS", "ObjNet", "COCO", "BDD", "avg.")
-    TableText.render("Table 2 (paper) — all queries", header, PaperAll) +
-      TableText.render("Table 2 (paper) — hard subset", header, PaperHard)
-  }
-
-  def compute(
-      spark: SparkSession,
-      sf: Double = BenchDefaults.sf,
-      dim: Int = BenchDefaults.dim,
-  ): Result = {
-    val specs = DatasetSpec.all(dim)
+  def compute(spark: SparkSession, sf: Double = DatasetSpec.BenchSf): PanelResult = {
     val multiscaleMethods = Seq(
       MethodConfig.ZeroShot, // with multiscale store = the "+multiscale" row
       MethodConfig.FewShot,
       MethodConfig.QueryAlign,
       MethodConfig.SeeSaw,
     )
-    val perDataset = specs.map { spec =>
+    val perDataset = DatasetSpec.all().map { spec =>
       val zsCoarse = BenchmarkRunner.zeroShotCoarseAp(spec, sf)
       val cats = zsCoarse.keySet
       val hard = cats.filter(c => Metrics.isHard(zsCoarse(c)))
       val results = BenchmarkRunner.run(spark, spec, sf, multiscaleMethods, multiscale = true)
-      def row(method: String, subset: Set[Int]): Double =
-        BenchmarkRunner.meanAp(results, method, subset)
-      def zsRow(subset: Set[Int]): Double =
-        Metrics.mean(subset.toSeq.map(zsCoarse))
-      val all = Seq(
-        zsRow(cats),
-        row("zero-shot CLIP", cats), // multiscale run
-        row("few-shot CLIP", cats),
-        row("+Query align", cats),
-        row("this work", cats),
-      )
-      val hardVals = Seq(
-        zsRow(hard),
-        row("zero-shot CLIP", hard),
-        row("few-shot CLIP", hard),
-        row("+Query align", hard),
-        row("this work", hard),
-      )
-      (spec.name, hard.size, all, hardVals)
+      def values(subset: Set[Int]): Seq[Double] =
+        Metrics.mean(subset.toSeq.map(zsCoarse)) +:
+          multiscaleMethods.map(m => BenchmarkRunner.meanAp(results, m.name, subset))
+      (spec.name, hard.size, values(cats), values(hard))
     }
-    Result(
-      datasets = perDataset.map(_._1),
-      hardCounts = perDataset.map(_._2),
-      allRows = RowLabels.zipWithIndex.map { case (l, i) => PanelRow(l, perDataset.map(_._3(i))) },
-      hardRows = RowLabels.zipWithIndex.map { case (l, i) => PanelRow(l, perDataset.map(_._4(i))) },
-    )
+    PanelResult.fromColumns("Table 2", "avg.", RowLabels, perDataset)
   }
 }

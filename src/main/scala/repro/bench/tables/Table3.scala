@@ -11,51 +11,28 @@ import repro.data.DatasetSpec
   */
 object Table3 {
 
-  final case class Result(
-      datasets: Seq[String],
-      hardCounts: Seq[Int],
-      allRows: Seq[PanelRow],
-      hardRows: Seq[PanelRow],
-  ) {
-    def render: String = {
-      val header = datasets :+ "Avg."
-      TableText.render("Table 3 (measured) — all queries", header, allRows.map(r => r.label -> r.withAvg)) +
-        TableText.render(
-          s"Table 3 (measured) — hard subset (counts: ${datasets.zip(hardCounts).map { case (d, c) => s"$d=$c" }.mkString(", ")})",
-          header, hardRows.map(r => r.label -> r.withAvg))
-    }
-  }
-
   val RowLabels: Seq[String] =
     Seq("zero-shot CLIP", "few-shot CLIP", "ENS", "Rocchio", "this work")
 
-  val PaperAll: Seq[(String, Seq[Double])] = Seq(
-    "zero-shot CLIP" -> Seq(0.63, 0.64, 0.90, 0.74, 0.72),
-    "few-shot CLIP" -> Seq(0.65, 0.58, 0.88, 0.73, 0.71),
-    "ENS" -> Seq(0.50, 0.43, 0.86, 0.70, 0.62),
-    "Rocchio" -> Seq(0.68, 0.70, 0.93, 0.75, 0.76),
-    "this work" -> Seq(0.69, 0.70, 0.92, 0.76, 0.77),
-  )
-  val PaperHard: Seq[(String, Seq[Double])] = Seq(
-    "zero-shot CLIP" -> Seq(0.19, 0.28, 0.27, 0.02, 0.19),
-    "few-shot CLIP" -> Seq(0.25, 0.28, 0.32, 0.06, 0.23),
-    "ENS" -> Seq(0.16, 0.24, 0.37, 0.03, 0.20),
-    "Rocchio" -> Seq(0.28, 0.38, 0.49, 0.05, 0.30),
-    "this work" -> Seq(0.30, 0.40, 0.55, 0.07, 0.33),
+  /** The published values (mAP); columns LVIS, ObjNet, COCO, BDD, Avg. */
+  val Paper: String = PanelResult.paper("Table 3", "Avg.",
+    all = Seq(
+      "zero-shot CLIP" -> Seq(0.63, 0.64, 0.90, 0.74, 0.72),
+      "few-shot CLIP" -> Seq(0.65, 0.58, 0.88, 0.73, 0.71),
+      "ENS" -> Seq(0.50, 0.43, 0.86, 0.70, 0.62),
+      "Rocchio" -> Seq(0.68, 0.70, 0.93, 0.75, 0.76),
+      "this work" -> Seq(0.69, 0.70, 0.92, 0.76, 0.77),
+    ),
+    hard = Seq(
+      "zero-shot CLIP" -> Seq(0.19, 0.28, 0.27, 0.02, 0.19),
+      "few-shot CLIP" -> Seq(0.25, 0.28, 0.32, 0.06, 0.23),
+      "ENS" -> Seq(0.16, 0.24, 0.37, 0.03, 0.20),
+      "Rocchio" -> Seq(0.28, 0.38, 0.49, 0.05, 0.30),
+      "this work" -> Seq(0.30, 0.40, 0.55, 0.07, 0.33),
+    ),
   )
 
-  def renderPaper: String = {
-    val header = Seq("LVIS", "ObjNet", "COCO", "BDD", "Avg.")
-    TableText.render("Table 3 (paper) — all queries", header, PaperAll) +
-      TableText.render("Table 3 (paper) — hard subset", header, PaperHard)
-  }
-
-  def compute(
-      spark: SparkSession,
-      sf: Double = BenchDefaults.sf,
-      dim: Int = BenchDefaults.dim,
-  ): Result = {
-    val specs = DatasetSpec.all(dim)
+  def compute(spark: SparkSession, sf: Double = DatasetSpec.BenchSf): PanelResult = {
     val methods = Seq(
       MethodConfig.ZeroShot,
       MethodConfig.FewShot,
@@ -63,22 +40,15 @@ object Table3 {
       MethodConfig.Rocchio,
       MethodConfig.SeeSaw,
     )
-    val perDataset = specs.map { spec =>
+    val perDataset = DatasetSpec.all().map { spec =>
       val results = BenchmarkRunner.run(spark, spec, sf, methods, multiscale = false)
       val zs = results.filter(_.method == "zero-shot CLIP").map(r => r.cat -> r.ap).toMap
       val cats = zs.keySet
       val hard = cats.filter(c => Metrics.isHard(zs(c)))
-      def row(method: String, subset: Set[Int]): Double =
-        BenchmarkRunner.meanAp(results, method, subset)
-      val all = RowLabels.map(m => row(m, cats))
-      val hardVals = RowLabels.map(m => row(m, hard))
-      (spec.name, hard.size, all, hardVals)
+      def values(subset: Set[Int]): Seq[Double] =
+        RowLabels.map(m => BenchmarkRunner.meanAp(results, m, subset))
+      (spec.name, hard.size, values(cats), values(hard))
     }
-    Result(
-      datasets = perDataset.map(_._1),
-      hardCounts = perDataset.map(_._2),
-      allRows = RowLabels.zipWithIndex.map { case (l, i) => PanelRow(l, perDataset.map(_._3(i))) },
-      hardRows = RowLabels.zipWithIndex.map { case (l, i) => PanelRow(l, perDataset.map(_._4(i))) },
-    )
+    PanelResult.fromColumns("Table 3", "Avg.", RowLabels, perDataset)
   }
 }

@@ -15,38 +15,31 @@ object Table4 {
   val Horizons: Seq[Int] = Seq(1, 2, 10, 60)
 
   final case class Result(raw: Seq[Double], calibrated: Seq[Double]) {
-    def render: String = TableText.render(
+    def render: String = TableText.renderCells(
       "Table 4 (measured) — ENS avg mAP vs reward horizon",
       Horizons.map(h => s"t=$h"),
-      Seq("raw γ" -> raw, "calibrated γ" -> calibrated),
+      Seq("raw γ" -> raw, "calibrated γ" -> calibrated).map { case (l, vs) => l -> vs.map(TableText.fmt) },
     )
   }
 
-  /** The paper reports the full grid only for t=2 (0.62 raw / 0.65
-    * calibrated); the prose states mAP degrades sharply with t for raw
-    * scores and less sharply when calibrated, and that t=1 reduces ENS to a
-    * greedy kNN model.
+  /** The published values. The paper reports the full grid only for t=2
+    * (0.62 raw / 0.65 calibrated); the prose states mAP degrades sharply
+    * with t for raw scores and less sharply when calibrated, and that t=1
+    * reduces ENS to a greedy kNN model.
     */
-  val PaperKnown: String =
+  val Paper: String =
     "Table 4 (paper): raw γ t=2 → 0.62, calibrated γ t=2 → 0.65; " +
       "mAP degrades sharply with larger t for raw scores, less for calibrated."
 
-  def compute(
-      spark: SparkSession,
-      sf: Double = BenchDefaults.sf,
-      dim: Int = BenchDefaults.dim,
-  ): Result = {
-    val specs = DatasetSpec.all(dim)
+  def compute(spark: SparkSession, sf: Double = DatasetSpec.BenchSf): Result = {
     val methods = for {
       cal <- Seq(false, true)
       h <- Horizons
     } yield MethodConfig.EnsCfg(horizon = h, calibrated = cal)
-    val perDataset = specs.map { spec =>
+    val perDataset = DatasetSpec.all().map { spec =>
       val results = BenchmarkRunner.run(spark, spec, sf, methods, multiscale = false)
-      methods.map(m => m.name -> {
-        val rs = results.filter(_.method == m.name)
-        Metrics.mean(rs.map(_.ap))
-      }).toMap
+      val cats = results.map(_.cat).toSet
+      methods.map(m => m.name -> BenchmarkRunner.meanAp(results, m.name, cats)).toMap
     }
     def avgOver(name: String): Double = Metrics.mean(perDataset.map(_(name)))
     Result(

@@ -2,7 +2,7 @@ package repro.bench.tables
 
 import org.apache.spark.sql.SparkSession
 import repro.bench._
-import repro.core.Rng
+import repro.core.{Metrics, Rng}
 import repro.data.DatasetSpec
 
 /** Table 5: per-image annotation time (seconds) by cell — {not marked,
@@ -48,19 +48,16 @@ object Table5 {
     }
   }
 
-  val PaperCells: String =
+  /** The published values. */
+  val Paper: String =
     "Table 5 (paper): baseline not-marked 1.98±.10, marked 3.00±.28; " +
       "seesaw not-marked 2.40±.19, marked 4.40±.45. " +
       "§5.5: for hard queries baseline median = 360s (task not completed)."
 
-  def compute(
-      spark: SparkSession,
-      sf: Double = BenchDefaults.sf,
-      dim: Int = BenchDefaults.dim,
-  ): Result = {
+  def compute(spark: SparkSession, sf: Double = DatasetSpec.BenchSf): Result = {
     // 7 queries as in §5.5: a hard set and an easy set, drawn from the
     // corpus with the widest difficulty spread (LVIS-like).
-    val spec = DatasetSpec.lvisLike(dim)
+    val spec = DatasetSpec.lvisLike()
     val zs = BenchmarkRunner.zeroShotCoarseAp(spec, sf)
     val sorted = zs.toSeq.sortBy(_._2)
     val hardCats = sorted.take(4).map(_._1)
@@ -80,17 +77,17 @@ object Table5 {
       // Deterministic traces per system; user variability enters via timing draws.
       val baseTrace = SearchSession.run(
         coarseStore, arts.user, cat, MethodConfig.ZeroShot, multiscale = false,
-        target = BenchDefaults.Target, budget = SessionBudget).trace
+        budget = SessionBudget).trace
       val ssTrace = SearchSession.run(
         arts.store, arts.user, cat, MethodConfig.SeeSaw, multiscale = true,
-        mD = arts.mD, target = BenchDefaults.Target, budget = SessionBudget).trace
+        mD = arts.mD, budget = SessionBudget).trace
 
       def completion(trace: Seq[Boolean], seesaw: Boolean, userSeed: Long): Double = {
         var t = 0.0
         var found = 0
         val it = trace.iterator
         var i = 0
-        while (it.hasNext && found < BenchDefaults.Target && t < TimeLimitSeconds) {
+        while (it.hasNext && found < Metrics.DefaultTarget && t < TimeLimitSeconds) {
           val marked = it.next()
           val dt = model.sample(Rng.key(userSeed, cat.toLong, i.toLong, if (seesaw) 1L else 0L), marked, seesaw)
           t += dt
@@ -98,7 +95,7 @@ object Table5 {
           if (marked) found += 1
           i += 1
         }
-        if (found >= BenchDefaults.Target) math.min(t, TimeLimitSeconds) else TimeLimitSeconds
+        if (found >= Metrics.DefaultTarget) math.min(t, TimeLimitSeconds) else TimeLimitSeconds
       }
 
       val baseTimes = (0 until NUsers).map(u => completion(baseTrace, seesaw = false, userSeed = 1000L + u))

@@ -10,8 +10,9 @@ import repro.graph.{DbAlign, KnnGraph, LabelPropagation}
 import repro.store.{LocalVectorStore, SparkVectorStore}
 
 /** Table 6: system latency per feedback iteration (seconds) vs database
-  * size. Rows: coarse-indexed ObjNet⁻/BDD⁻/COCO⁻ and multiscale BDD/COCO
-  * (paper: 50K–1.6M vectors; ours are scaled down, shape is the claim).
+  * size. Rows: coarse-indexed ObjNet⁻/BDD⁻/COCO⁻ and multiscale BDD/COCO,
+  * at the paper's vector counts (50K–1.5M; paper: 50K–1.6M) times the size
+  * multiplier `scale` of [[compute]].
   *
   * Per iteration each method does its update step plus (for query-vector
   * methods) a store lookup on the DataFrame scan store — the production
@@ -48,6 +49,7 @@ object Table6 {
     )
   }
 
+  /** The published values. */
   val Paper: String =
     """Table 6 (paper):
       |          vectors  CLIP  ENS   Rocchio  SeeSaw  prop.
@@ -60,12 +62,12 @@ object Table6 {
   /** Paper-scale vector counts: ObjNet⁻ 50K, BDD⁻ 80K, COCO⁻ 120K coarse
     * vectors; BDD/COCO multiscale ≈ 1.5M patch vectors (paper: 1.6M).
     */
-  def rowSpecs(dim: Int, scale: Double): Seq[RowSpec] = Seq(
-    RowSpec("ObjNet-", DatasetSpec.objectNetLike(dim), 2.5 * scale, multiscale = false),
-    RowSpec("BDD-", DatasetSpec.bddLike(dim), 5.0 * scale, multiscale = false),
-    RowSpec("COCO-", DatasetSpec.cocoLike(dim), 5.0 * scale, multiscale = false),
-    RowSpec("BDD", DatasetSpec.bddLike(dim), 5.0 * scale, multiscale = true),
-    RowSpec("COCO", DatasetSpec.cocoLike(dim), 5.0 * scale, multiscale = true),
+  def rowSpecs(scale: Double): Seq[RowSpec] = Seq(
+    RowSpec("ObjNet-", DatasetSpec.objectNetLike(), 2.5 * scale, multiscale = false),
+    RowSpec("BDD-", DatasetSpec.bddLike(), 5.0 * scale, multiscale = false),
+    RowSpec("COCO-", DatasetSpec.cocoLike(), 5.0 * scale, multiscale = false),
+    RowSpec("BDD", DatasetSpec.bddLike(), 5.0 * scale, multiscale = true),
+    RowSpec("COCO", DatasetSpec.cocoLike(), 5.0 * scale, multiscale = true),
   )
 
   /** Above this many vectors, M_D is built from a deterministic sample of
@@ -75,28 +77,27 @@ object Table6 {
   val MdSampleThreshold = 300000
   val MdSampleSize = 20000
 
-  private def timeIt(reps: Int)(body: => Unit): Double = {
+  /** Timed repetitions per cell, after one warm-up; the cell is their median. */
+  private val Reps = 3
+
+  private def timeIt(body: => Unit): Double = {
     body // warmup
-    val times = (0 until reps).map { _ =>
+    val times = (0 until Reps).map { _ =>
       val t0 = System.nanoTime()
       body
       (System.nanoTime() - t0) / 1e9
     }
-    times.sorted.apply(reps / 2)
+    times.sorted.apply(Reps / 2)
   }
 
-  def compute(
-      spark: SparkSession,
-      dim: Int = BenchDefaults.dim,
-      scale: Double = BenchDefaults.t6Scale,
-      reps: Int = 3,
-  ): Result = {
-    val rows = rowSpecs(dim, scale).map { rs =>
+  /** @param scale size multiplier of every row's vector count */
+  def compute(spark: SparkSession, scale: Double = 1.0): Result = {
+    val rows = rowSpecs(scale).map { rs =>
       val spec = rs.spec
       val user = new SimulatedUser(spec, rs.sf)
       val local = LocalVectorStore.build(spec, rs.sf, rs.multiscale)
       val sparkStore = SparkVectorStore.fromDataFrame(
-        spark, ClipSim.patchVectors(spark, spec, rs.sf, rs.multiscale), dim)
+        spark, ClipSim.patchVectors(spark, spec, rs.sf, rs.multiscale), spec.dim)
       val nVec = sparkStore.nVectors
 
       // Preprocessing artifacts (offline): patch kNN graph, M_D, propagator.
@@ -135,16 +136,16 @@ object Table6 {
         b.result()
       }
 
-      val clipT = timeIt(reps) { sparkStore.topImages(q0, 10, seen) }
-      val rocchioT = timeIt(reps) {
+      val clipT = timeIt { sparkStore.topImages(q0, 10, seen) }
+      val rocchioT = timeIt {
         val q = Rocchio().update(q0, examples)
         sparkStore.topImages(q, 10, seen)
       }
-      val seesawT = timeIt(reps) {
+      val seesawT = timeIt {
         val q = QueryAligner.align(q0, examples, AlignerConfig.SeeSaw, Some(mD))
         sparkStore.topImages(q, 10, seen)
       }
-      val propT = timeIt(reps) {
+      val propT = timeIt {
         // Full propagation to convergence each round — the linear-in-N cost
         // the M_D approximation exists to avoid (paper §4.2, Table 6).
         val f = propagator.propagate(patchLabels, init = None, maxIters = 200, tol = 1e-5)
@@ -163,7 +164,7 @@ object Table6 {
           val prior = patchVecs.map(v => Platt.rawProbability(Linalg.dot(v, q0))).toArray
           val ens = new Ens(ensGraph, prior)
           val labeled = seen.map(id => id.toInt -> user.isRelevant(id, cat)).toMap
-          timeIt(reps) { ens.selectNext(labeled, horizon = 40) }
+          timeIt { ens.selectNext(labeled, horizon = 40) }
         }
 
       sparkStore.unpersist()

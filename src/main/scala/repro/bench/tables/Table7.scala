@@ -21,7 +21,22 @@ object Table7 {
     (30, 300, 100), (30, 1000, 100), (30, 3000, 100),
   )
 
-  val Paper: Seq[((Double, Double, Double), Seq[Double])] = Seq(
+  private def label(g: (Double, Double, Double)): String =
+    s"λc=${g._1.toInt} λD=${g._2.toInt} λ=${g._3.toInt}"
+
+  private def renderRows(title: String, header: Seq[String], rows: Seq[(String, Seq[Double])]): String =
+    TableText.renderCells(title, header :+ "Avg.", rows.map { case (l, vs) => l -> vs.map(TableText.fmt) })
+
+  final case class Result(datasets: Seq[String], rows: Seq[(String, Seq[Double])]) {
+    def render: String = renderRows(
+      "Table 7 (measured) — SeeSaw AP by hyperparameters (BDD COCO LVIS ObjNet Avg order as paper)",
+      datasets,
+      rows,
+    )
+  }
+
+  /** The published values (mAP), one row per [[Grid]] setting. */
+  val Paper: String = renderRows("Table 7 (paper)", Seq("BDD", "COCO", "LVIS", "ObjNet"), Seq(
     (3.0, 300.0, 100.0) -> Seq(0.78, 0.96, 0.76, 0.68, 0.80),
     (3.0, 1000.0, 100.0) -> Seq(0.77, 0.97, 0.77, 0.68, 0.80),
     (3.0, 3000.0, 100.0) -> Seq(0.77, 0.96, 0.76, 0.63, 0.78),
@@ -33,40 +48,20 @@ object Table7 {
     (30.0, 300.0, 100.0) -> Seq(0.77, 0.96, 0.73, 0.68, 0.79),
     (30.0, 1000.0, 100.0) -> Seq(0.77, 0.96, 0.74, 0.69, 0.79),
     (30.0, 3000.0, 100.0) -> Seq(0.77, 0.96, 0.74, 0.69, 0.79),
-  )
+  ).map { case (g, vals) => label(g) -> vals })
 
-  private def label(g: (Double, Double, Double)): String =
-    s"λc=${g._1.toInt} λD=${g._2.toInt} λ=${g._3.toInt}"
-
-  final case class Result(datasets: Seq[String], rows: Seq[(String, Seq[Double])]) {
-    def render: String = TableText.render(
-      "Table 7 (measured) — SeeSaw AP by hyperparameters (BDD COCO LVIS ObjNet Avg order as paper)",
-      datasets :+ "Avg.",
-      rows,
-    )
-  }
-
-  def renderPaper: String = TableText.render(
-    "Table 7 (paper)",
-    Seq("BDD", "COCO", "LVIS", "ObjNet", "Avg."),
-    Paper.map { case (g, vals) => label(g) -> vals },
-  )
-
-  def compute(
-      spark: SparkSession,
-      sf: Double = BenchDefaults.sf,
-      dim: Int = BenchDefaults.dim,
-  ): Result = {
+  def compute(spark: SparkSession, sf: Double = DatasetSpec.BenchSf): Result = {
     // Paper column order for this table: BDD, COCO, LVIS, ObjNet.
     val specs = Seq(
-      DatasetSpec.bddLike(dim), DatasetSpec.cocoLike(dim),
-      DatasetSpec.lvisLike(dim), DatasetSpec.objectNetLike(dim))
+      DatasetSpec.bddLike(), DatasetSpec.cocoLike(),
+      DatasetSpec.lvisLike(), DatasetSpec.objectNetLike())
     val methods = Grid.map { case (lc, ld, l) =>
       MethodConfig.Aligned(label((lc, ld, l)), AlignerConfig(lambda = l, lambdaC = lc, lambdaD = ld))
     }
     val perDataset = specs.map { spec =>
       val results = BenchmarkRunner.run(spark, spec, sf, methods, multiscale = true)
-      methods.map(m => m.name -> Metrics.mean(results.filter(_.method == m.name).map(_.ap))).toMap
+      val cats = results.map(_.cat).toSet
+      methods.map(m => m.name -> BenchmarkRunner.meanAp(results, m.name, cats)).toMap
     }
     val rows = methods.map { m =>
       val vals = perDataset.map(_(m.name))

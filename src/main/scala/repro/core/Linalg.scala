@@ -64,13 +64,6 @@ object Linalg {
     out
   }
 
-  def add(a: Array[Double], b: Array[Double]): Array[Double] = {
-    val out = new Array[Double](a.length)
-    var i = 0
-    while (i < a.length) { out(i) = a(i) + b(i); i += 1 }
-    out
-  }
-
   def toDouble(a: Array[Float]): Array[Double] = a.map(_.toDouble)
   def toFloat(a: Array[Double]): Array[Float] = a.map(_.toFloat)
 

@@ -38,13 +38,6 @@ object Metrics {
     sum / r
   }
 
-  /** Precision@k over a trace (used in store accuracy tests). */
-  def precisionAt(trace: Seq[Boolean], k: Int): Double = {
-    require(k > 0, "k must be positive")
-    val taken = trace.take(k)
-    if (taken.isEmpty) 0.0 else taken.count(identity).toDouble / k
-  }
-
   /** Mean of a non-empty sequence; 0.0 for empty (a dataset with no queries). */
   def mean(xs: Seq[Double]): Double = if (xs.isEmpty) 0.0 else xs.sum / xs.size
 

@@ -68,6 +68,11 @@ object DatasetSpec {
   /** Default embedding dimension for benches; tests pass dim=64. Paper: 512. */
   val BenchDim = 128
 
+  /** Scale factor of the accuracy tables and the preprocessing job (paper
+    * datasets are 20K–120K images; 0.05 gives 0.8K–1.2K images per corpus).
+    */
+  val BenchSf = 0.05
+
   def lvisLike(dim: Int = BenchDim, seed: Long = 11): DatasetSpec = DatasetSpec(
     name = "LVIS", nImages = 24000, imgW = 640, imgH = 480,
     nCats = 60, nBg = 40, catZipfAlpha = 0.6,

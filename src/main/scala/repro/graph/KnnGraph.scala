@@ -17,23 +17,6 @@ final case class KnnGraph(
   require(neighbors.length == weights.length, "ragged graph")
   def n: Int = neighbors.length
 
-  /** Degree of node i under the symmetrized adjacency (row sum of W_sym). */
-  lazy val degrees: Array[Double] = {
-    val d = new Array[Double](n)
-    var i = 0
-    while (i < n) {
-      var j = 0
-      while (j < neighbors(i).length) {
-        val w = weights(i)(j) / 2.0
-        d(i) += w
-        d(neighbors(i)(j)) += w
-        j += 1
-      }
-      i += 1
-    }
-    d
-  }
-
   /** Symmetrized sparse adjacency as (i, j, w) triples with i < j.
     *
     * W_sym = (W + W^T)/2. Each unordered pair is emitted exactly once by

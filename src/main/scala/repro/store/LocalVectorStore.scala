@@ -12,36 +12,19 @@ import repro.embed.{ClipSim, PatchRecord}
   * of an image are stored contiguously so the per-image max rule is a single
   * streaming pass.
   */
-final class LocalVectorStore(records: IndexedSeq[PatchRecord]) extends VectorStore with Serializable {
-  require(records.nonEmpty, "empty store")
+final class LocalVectorStore private (sorted: Array[PatchRecord]) extends VectorStore with Serializable {
+  require(sorted.nonEmpty, "empty store")
 
   // Sorted by (imgId, patchId) so per-image blocks are contiguous.
-  private val sorted = records.sortBy(r => (r.imgId, r.patchId)).toArray
+  def this(records: IndexedSeq[PatchRecord]) = this(records.sortBy(r => (r.imgId, r.patchId)).toArray)
+
   val vecs: Array[Array[Float]] = sorted.map(_.vec)
   val imgIds: Array[Long] = sorted.map(_.imgId)
   val patchIds: Array[Int] = sorted.map(_.patchId)
 
   override val dim: Int = vecs(0).length
   override val nVectors: Long = vecs.length.toLong
-  private val imgStart: Map[Long, Int] = {
-    val b = Map.newBuilder[Long, Int]
-    var i = 0
-    while (i < sorted.length) {
-      if (i == 0 || imgIds(i) != imgIds(i - 1)) b += imgIds(i) -> i
-      i += 1
-    }
-    b.result()
-  }
-  override val nImages: Long = imgStart.size.toLong
-
-  /** All patch records of one image, ordered by patchId. */
-  def patchesOf(imgId: Long): IndexedSeq[PatchRecord] = {
-    val start = imgStart.getOrElse(imgId, sys.error(s"unknown image $imgId"))
-    val buf = IndexedSeq.newBuilder[PatchRecord]
-    var i = start
-    while (i < sorted.length && imgIds(i) == imgId) { buf += sorted(i); i += 1 }
-    buf.result()
-  }
+  override val nImages: Long = imgIds.indices.count(i => i == 0 || imgIds(i) != imgIds(i - 1)).toLong
 
   override def topImages(q: Array[Float], k: Int, exclude: Set[Long]): IndexedSeq[ImageHit] = {
     require(q.length == dim, s"query dim ${q.length} != store dim $dim")
@@ -74,10 +57,6 @@ final class LocalVectorStore(records: IndexedSeq[PatchRecord]) extends VectorSto
     }
     heap.dequeueAll.reverse.toIndexedSeq
   }
-
-  /** Exhaustive image ranking (for AP-oracle tests on small stores). */
-  def rankAllImages(q: Array[Float]): IndexedSeq[ImageHit] =
-    topImages(q, imgStart.size, Set.empty)
 }
 
 object LocalVectorStore {

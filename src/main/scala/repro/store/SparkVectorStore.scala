@@ -3,7 +3,6 @@ package repro.store
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.expressions.UserDefinedFunction
 import org.apache.spark.sql.functions._
-import repro.embed.PatchRecord
 
 /** DataFrame-based exact MIPS scan store.
   *
@@ -67,16 +66,6 @@ final class SparkVectorStore(spark: SparkSession, df: DataFrame, val dim: Int) e
 }
 
 object SparkVectorStore {
-  /** Build from local patch records (tests); ships them through a DataFrame
-    * so the scan path is identical to the preprocessing-pipeline output.
-    */
-  def fromRecords(spark: SparkSession, records: Seq[PatchRecord]): SparkVectorStore = {
-    import spark.implicits._
-    val dim = records.head.vec.length
-    val df = records.map(p => (p.imgId, p.patchId, p.vec)).toDF("img_id", "patch_id", "vec")
-    new SparkVectorStore(spark, df, dim)
-  }
-
   /** Wrap an existing patch-vector DataFrame (from ClipSim.patchVectors). */
   def fromDataFrame(spark: SparkSession, df: DataFrame, dim: Int): SparkVectorStore =
     new SparkVectorStore(spark, df, dim)

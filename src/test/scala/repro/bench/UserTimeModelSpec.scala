@@ -54,15 +54,6 @@ class UserTimeModelSpec extends AnyFunSuite {
     assert(mean(marked = true, seesaw = true) > mean(marked = true, seesaw = false))
   }
 
-  test("traceTime sums per-image samples") {
-    val trace = Seq(true, false, true)
-    val total = model.traceTime(9L, trace, seesaw = false)
-    val manual = trace.zipWithIndex.map { case (m, i) =>
-      model.sample(Rng.key(9L, i.toLong, 0L), m, seesaw = false)
-    }.sum
-    assert(math.abs(total - manual) < 1e-12)
-  }
-
   test("meanCi computes mean and nonnegative half-width") {
     val (m, ci) = UserTimeModel.meanCi(Seq(1.0, 2.0, 3.0))
     assert(m == 2.0)

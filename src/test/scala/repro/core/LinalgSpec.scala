@@ -59,10 +59,9 @@ class LinalgSpec extends AnyFunSuite {
     assert(y.sameElements(dv(0, -1)))
   }
 
-  test("scale, sub, add") {
+  test("scale and sub") {
     assert(Linalg.scale(2.0, dv(1, 2)).sameElements(dv(2, 4)))
     assert(Linalg.sub(dv(3, 3), dv(1, 2)).sameElements(dv(2, 1)))
-    assert(Linalg.add(dv(3, 3), dv(1, 2)).sameElements(dv(4, 5)))
   }
 
   test("toDouble/toFloat round-trip") {

@@ -84,15 +84,6 @@ class MetricsSpec extends AnyFunSuite {
     assertThrows[IllegalArgumentException](averagePrecision(Seq(true), -1))
   }
 
-  test("precisionAt computes fraction of hits in prefix") {
-    assert(Metrics.precisionAt(Seq(true, false, true, true), 2) == 0.5)
-    assert(Metrics.precisionAt(Seq(true, false, true, true), 4) == 0.75)
-  }
-
-  test("precisionAt on empty trace is 0") {
-    assert(Metrics.precisionAt(Seq.empty, 5) == 0.0)
-  }
-
   test("mean of empty sequence is 0") {
     assert(Metrics.mean(Seq.empty) == 0.0)
   }

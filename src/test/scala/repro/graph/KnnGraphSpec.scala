@@ -111,14 +111,6 @@ class KnnGraphSpec extends AnyFunSuite {
     }
   }
 
-  test("degrees equal row sums of the symmetrized adjacency") {
-    val vecs = randomVecs(40, 8, 9)
-    val g = KnnGraph.bruteForce(vecs, k = 3, sigma = 0.5)
-    val deg = new Array[Double](g.n)
-    g.symEdges.foreach { case (a, b, w) => deg(a) += w; deg(b) += w }
-    for (i <- 0 until g.n) assert(math.abs(deg(i) - g.degrees(i)) < 1e-12)
-  }
-
   test("recallAgainst of a graph with itself is 1") {
     val vecs = randomVecs(30, 8, 10)
     val g = KnnGraph.bruteForce(vecs, k = 4, sigma = 0.5)

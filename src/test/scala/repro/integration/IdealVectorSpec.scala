@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.TestData
 import repro.core._
 import repro.data.ImageCorpus
+import repro.embed.ClipSim
 import repro.store.LocalVectorStore
 
 /** Reproduces the qualitative claim of paper §3.1 / Figure 4: CLIP-like
@@ -25,7 +26,7 @@ class IdealVectorSpec extends AnyFunSuite {
     */
   private def idealVector(cat: Int): Array[Float] = {
     val examples = metas.map { m =>
-      Example(store.patchesOf(m.imgId).head.vec, m.objects.exists(_.cat == cat))
+      Example(ClipSim.patchRecords(spec, m, multiscale = false).head.vec, m.objects.exists(_.cat == cat))
     }
     val q0 = spec.conceptSpace.textEmbedding(cat)
     val loss = new LossFunction(q0, examples, lambda = 0.01, lambdaC = 0.0, lambdaD = 0.0, mD = None)
@@ -35,7 +36,7 @@ class IdealVectorSpec extends AnyFunSuite {
 
   private def apOf(q: Array[Float], cat: Int): Double = {
     val relevant = ImageCorpus.relevantImages(spec, sf, cat)
-    val ranked = store.rankAllImages(q)
+    val ranked = store.topImages(q, metas.size)
     Metrics.averagePrecision(ranked.map(h => relevant.contains(h.imgId)), relevant.size.toLong)
   }
 

@@ -70,26 +70,16 @@ class LocalVectorStoreSpec extends AnyFunSuite {
 
   test("rankAllImages returns a full permutation") {
     val q = spec.conceptSpace.textEmbedding(3)
-    val ranks = store.rankAllImages(q)
+    val ranks = store.topImages(q, store.nImages.toInt)
     assert(ranks.map(_.imgId).sorted == (0L until 50L))
   }
 
   test("multiscale image score is the max over its patches") {
     val q = Linalg.normalize(Rng.gaussianVector(9L, spec.dim))
     val hit = store.topImages(q, 1).head
-    val patches = store.patchesOf(hit.imgId)
+    val patches = ClipSim.patchRecords(spec, ImageCorpus.imageMeta(spec, hit.imgId), multiscale = true)
     val best = patches.map(p => Linalg.dot(p.vec, q)).max
     assert(math.abs(hit.score - best) < 1e-9)
-  }
-
-  test("patchesOf returns patches ordered by patchId") {
-    val ps = store.patchesOf(0L)
-    assert(ps.map(_.patchId) == (0 until 10))
-    assert(ps.forall(_.imgId == 0L))
-  }
-
-  test("patchesOf rejects unknown images") {
-    assertThrows[RuntimeException](store.patchesOf(9999L))
   }
 
   test("dimension mismatch is rejected") {
@@ -104,9 +94,9 @@ class LocalVectorStoreSpec extends AnyFunSuite {
   test("coarse store equals multiscale store restricted to patch 0") {
     val q = Linalg.normalize(Rng.gaussianVector(5L, spec.dim))
     val coarseHits = coarse.topImages(q, 10)
-    // Recompute via patch-0 vectors of the multiscale store.
+    // Recompute via the patch-0 vectors of the multiscale embedding.
     val expected = (0L until 50L).map { id =>
-      val p0 = store.patchesOf(id).head
+      val p0 = ClipSim.patchRecords(spec, ImageCorpus.imageMeta(spec, id), multiscale = true).head
       ImageHit(id, 0, Linalg.dot(p0.vec, q))
     }.sortBy(h => (-h.score, h.imgId)).take(10)
     assert(coarseHits.map(_.imgId) == expected.map(_.imgId))

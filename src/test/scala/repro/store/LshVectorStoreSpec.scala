@@ -23,8 +23,7 @@ class LshVectorStoreSpec extends AnyFunSuite {
   test("results are valid hits with correct scores") {
     val q = spec.conceptSpace.textEmbedding(0)
     lsh.topImages(q, 10).foreach { h =>
-      val patches = exact.patchesOf(h.imgId)
-      val p = patches.find(_.patchId == h.patchId).get
+      val p = records.find(r => r.imgId == h.imgId && r.patchId == h.patchId).get
       assert(math.abs(Linalg.dot(p.vec, q) - h.score) < 1e-9)
     }
   }

@@ -82,15 +82,6 @@ class SparkVectorStoreSpec extends SparkSpec {
     )
   }
 
-  test("fromRecords and fromDataFrame agree") {
-    val recs = (0L until 50L).flatMap(id =>
-      ClipSim.patchRecords(spec, repro.data.ImageCorpus.imageMeta(spec, id), multiscale = true))
-    val s2 = SparkVectorStore.fromRecords(spark, recs)
-    val q = spec.conceptSpace.textEmbedding(3)
-    assert(s2.topImages(q, 5).map(_.imgId) == sparkStore.topImages(q, 5).map(_.imgId))
-    s2.unpersist()
-  }
-
   test("query dimension mismatch is rejected") {
     assertThrows[IllegalArgumentException](sparkStore.topImages(new Array[Float](7), 1))
   }
