@@ -68,12 +68,12 @@ object SearchSession {
     val q0 = user.textEmbedding(cat)
     var q = q0
     val examples = scala.collection.mutable.ArrayBuffer.empty[Example]
-    val seen = scala.collection.mutable.Set.empty[Long]
+    var seen = Set.empty[Long]
     val trace = scala.collection.mutable.ArrayBuffer.empty[Boolean]
     var found = 0
     var shown = 0
     while (found < target && shown < budget) {
-      val hits = store.topImages(q, 1, seen.toSet)
+      val hits = store.topImages(q, 1, seen)
       if (hits.isEmpty) return trace.toIndexedSeq // store exhausted
       val img = hits.head.imgId
       seen += img

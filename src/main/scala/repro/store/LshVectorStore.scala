@@ -48,6 +48,7 @@ final class LshVectorStore(
 
   override def topImages(q: Array[Float], k: Int, exclude: Set[Long]): IndexedSeq[ImageHit] = {
     require(q.length == dim, s"query dim ${q.length} != store dim $dim")
+    require(k > 0, "k must be positive")
     val cand = candidates(q, minPool = math.max(64, 8 * k))
     val best = scala.collection.mutable.LongMap.empty[ImageHit]
     cand.foreach { i =>

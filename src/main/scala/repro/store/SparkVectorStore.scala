@@ -32,6 +32,7 @@ final class SparkVectorStore(spark: SparkSession, df: DataFrame, val dim: Int) e
 
   override def topImages(q: Array[Float], k: Int, exclude: Set[Long]): IndexedSeq[ImageHit] = {
     require(q.length == dim, s"query dim ${q.length} != store dim $dim")
+    require(k > 0, "k must be positive")
     scoredImages(q, exclude)
       .orderBy(desc("score"), asc("img_id"))
       .limit(k)

@@ -21,7 +21,7 @@ trait VectorStore {
 
   /** Top-k images by max patch inner product with `q`, descending score,
     * excluding already-seen images. Ties break by ascending imgId so results
-    * are deterministic across store implementations.
+    * are deterministic across store implementations. `k` must be positive.
     */
   def topImages(q: Array[Float], k: Int, exclude: Set[Long] = Set.empty): IndexedSeq[ImageHit]
 }

@@ -1,10 +1,13 @@
 package repro.store
 
+import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
+import java.util.concurrent.{Callable, CountDownLatch, Executors, TimeUnit}
+
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestData
 import repro.core.{Linalg, Rng}
 import repro.data.ImageCorpus
-import repro.embed.ClipSim
+import repro.embed.{ClipSim, PatchRecord}
 
 class LocalVectorStoreSpec extends AnyFunSuite {
 
@@ -101,6 +104,121 @@ class LocalVectorStoreSpec extends AnyFunSuite {
     }.sortBy(h => (-h.score, h.imgId)).take(10)
     assert(coarseHits.map(_.imgId) == expected.map(_.imgId))
     coarseHits.zip(expected).foreach { case (a, b) => assert(math.abs(a.score - b.score) < 1e-9) }
+  }
+
+  // A store above the split minimum: 7,000 images of 1 to 19 random 128-d
+  // patches, cut as on 4 cores. Every 50th image of the second half repeats
+  // the vectors of the image 3,500 ids earlier, so equal scores meet in the
+  // merge from different chunks.
+  private val BigImages = 7000
+  private lazy val big = {
+    val records = (0 until BigImages).flatMap { img =>
+      val src = if (img >= BigImages / 2 && img % 50 == 0) img - BigImages / 2 else img
+      (0 until 1 + src * 7 % 19).map { p =>
+        PatchRecord(img.toLong, p, 0, 0, 1, 1, Rng.gaussianVector(Rng.key(77, src.toLong, p.toLong), 128))
+      }
+    }
+    LocalVectorStore.withProcessors(records, processors = 4)
+  }
+
+  /** The single pass the split scan must reproduce: every row in order,
+    * scored with Linalg.dot, the first best patch of each image kept.
+    */
+  private def onePass(s: LocalVectorStore, q: Array[Float], k: Int, exclude: Set[Long]): IndexedSeq[ImageHit] = {
+    val best = scala.collection.mutable.LinkedHashMap.empty[Long, ImageHit]
+    for (i <- s.vecs.indices if !exclude.contains(s.imgIds(i))) {
+      val score = Linalg.dot(s.vecs(i), q)
+      val prev = best.get(s.imgIds(i))
+      if (prev.forall(score > _.score)) best(s.imgIds(i)) = ImageHit(s.imgIds(i), s.patchIds(i), score)
+    }
+    best.values.toIndexedSeq.sortBy(h => (-h.score, h.imgId)).take(k)
+  }
+
+  private def assertSameHits(got: IndexedSeq[ImageHit], want: IndexedSeq[ImageHit], clue: String): Unit = {
+    assert(got.map(_.imgId) == want.map(_.imgId), clue)
+    assert(got.map(_.patchId) == want.map(_.patchId), clue)
+    assert(got.map(_.score) == want.map(_.score), clue) // exact, not a tolerance
+  }
+
+  private def bigQuery(s: Int): Array[Float] =
+    if (s % 2 == 0) Linalg.normalize(Rng.gaussianVector(Rng.key(78, s.toLong), 128))
+    else big.vecs(s * 997 % big.vecs.length) // a stored patch: its image scores highest
+
+  test("chunks start on image boundaries and cover the rows in order") {
+    assert(big.nVectors * big.dim >= 4 * LocalVectorStore.MinChunkMacs)
+    assert(big.nChunks == 4)
+    assert(store.nChunks == 1 && coarse.nChunks == 1)
+    val starts = big.chunkStarts
+    assert(starts.head == 0 && starts.last == big.vecs.length)
+    assert(starts.sliding(2).forall { case Array(a, b) => a < b })
+    starts.init.tail.foreach(s => assert(big.imgIds(s) != big.imgIds(s - 1), s"chunk start $s splits an image"))
+  }
+
+  test("the split scan equals a one-pass scan bit for bit") {
+    val boundaryImages = big.chunkStarts.init.tail.flatMap(s => Seq(big.imgIds(s - 1), big.imgIds(s))).toSet
+    assert(boundaryImages.size == 2 * (big.nChunks - 1))
+    for {
+      s <- 0 until 6
+      k <- Seq(1, 7, big.nImages.toInt + 5)
+      exclude <- Seq(Set.empty[Long], boundaryImages)
+    } {
+      val q = bigQuery(s)
+      val got = big.topImages(q, k, exclude)
+      val want = onePass(big, q, k, exclude)
+      assert(got.size == math.min(k, big.nImages.toInt - exclude.size))
+      assertSameHits(got, want, s"query $s k $k excluded ${exclude.size}")
+    }
+  }
+
+  test("equal scores from different chunks merge by ascending imgId") {
+    val dup = BigImages / 2 + 50 // repeats image 50, which sits in another chunk
+    val q = big.vecs(big.imgIds.indexOf(dup.toLong))
+    val top = big.topImages(q, 2)
+    assert(top.map(_.imgId) == Seq(50L, dup.toLong))
+    assert(top(0).score == top(1).score)
+  }
+
+  test("one store is safe to share across threads") {
+    val calls = for (s <- 0 until 8; k <- Seq(1, 7)) yield (bigQuery(s), k, (0 until s).map(_.toLong * 101).toSet)
+    val want = calls.map { case (q, k, ex) => big.topImages(q, k, ex) }
+    val pool = Executors.newFixedThreadPool(8)
+    try {
+      val start = new CountDownLatch(1)
+      val futures = (0 until 8).map { t =>
+        pool.submit(new Callable[Boolean] {
+          def call(): Boolean = {
+            start.await()
+            (0 until 5).forall { rep =>
+              calls.indices.forall { c =>
+                val i = (c + t + rep) % calls.size
+                val (q, k, ex) = calls(i)
+                big.topImages(q, k, ex) == want(i)
+              }
+            }
+          }
+        })
+      }
+      start.countDown()
+      futures.foreach(f => assert(f.get(120, TimeUnit.SECONDS)))
+    } finally pool.shutdownNow()
+  }
+
+  test("a store round-trips through Java serialization") {
+    def roundTrip(s: LocalVectorStore): LocalVectorStore = {
+      val bytes = new ByteArrayOutputStream()
+      val out = new ObjectOutputStream(bytes)
+      out.writeObject(s); out.close()
+      new ObjectInputStream(new ByteArrayInputStream(bytes.toByteArray)).readObject().asInstanceOf[LocalVectorStore]
+    }
+    for (original <- Seq(big, store)) {
+      val copy = roundTrip(original)
+      assert(copy.chunkStarts.sameElements(original.chunkStarts))
+      for (s <- 0 until 4; k <- Seq(1, 7)) {
+        val q = Linalg.normalize(Rng.gaussianVector(Rng.key(79, s.toLong), original.dim))
+        val exclude = original.topImages(q, 2).map(_.imgId).toSet
+        assertSameHits(copy.topImages(q, k, exclude), original.topImages(q, k, exclude), s"query $s k $k")
+      }
+    }
   }
 
   test("empty store is rejected") {

@@ -78,6 +78,12 @@ class LshVectorStoreSpec extends AnyFunSuite {
     assert(lsh.topImages(q, 10) == l2.topImages(q, 10))
   }
 
+  test("k must be positive") {
+    val q = Linalg.normalize(Rng.gaussianVector(2L, spec.dim))
+    assertThrows[IllegalArgumentException](lsh.topImages(q, 0))
+    assertThrows[IllegalArgumentException](lsh.topImages(q, -1))
+  }
+
   test("invalid shapes are rejected") {
     assertThrows[IllegalArgumentException](new LshVectorStore(records, nTables = 0))
     assertThrows[IllegalArgumentException](new LshVectorStore(IndexedSeq.empty))

@@ -82,6 +82,12 @@ class SparkVectorStoreSpec extends SparkSpec {
     )
   }
 
+  test("k must be positive") {
+    val q = Linalg.normalize(Rng.gaussianVector(2L, spec.dim))
+    assertThrows[IllegalArgumentException](sparkStore.topImages(q, 0))
+    assertThrows[IllegalArgumentException](sparkStore.topImages(q, -1))
+  }
+
   test("query dimension mismatch is rejected") {
     assertThrows[IllegalArgumentException](sparkStore.topImages(new Array[Float](7), 1))
   }
