@@ -1,11 +1,13 @@
 package repro.baseline
 
-import repro.core.{LBFGS, Linalg}
+import repro.core.LBFGS
 
 /** Platt scaling (Platt 2000): fit p(y=1|s) = sigmoid(A·s + B) on labeled
   * scores by regularized maximum likelihood. Used for the Table 4
-  * calibration experiment — the paper stresses this needs ground-truth
-  * labels ahead of time, so it is a diagnostic, not a deployable method.
+  * calibration experiment (the calibrated ENS prior; the uncalibrated one is
+  * `SearchSession.ensPrior`'s min-max normalization) — the paper stresses
+  * this needs ground-truth labels ahead of time, so it is a diagnostic, not
+  * a deployable method.
   */
 final case class PlattModel(a: Double, b: Double) {
   def probability(score: Double): Double = {
@@ -44,10 +46,4 @@ object Platt {
     val res = LBFGS.minimize(objective, Array(1.0, 0.0), maxIters = 200, gradTol = 1e-7)
     PlattModel(res.x(0), res.x(1))
   }
-
-  /** Raw (uncalibrated) mapping of a cosine/dot score in [−1, 1] to a
-    * pseudo-probability — what a system without labels can do, and exactly
-    * the miscalibration ENS is sensitive to (Table 4 top row).
-    */
-  def rawProbability(score: Double): Double = math.min(1.0, math.max(0.0, (score + 1.0) / 2.0))
 }

@@ -55,6 +55,8 @@ object BenchmarkRunner {
       needMd: Boolean,
       needGraph: Boolean,
   ): DatasetArtifacts = {
+    require(!(multiscale && needGraph),
+      "ENS runs on coarse vectors only (paper §5.4): no graph over a multiscale store")
     val user = new SimulatedUser(spec, sf)
     val store = LocalVectorStore.build(spec, sf, multiscale)
     val mD =
@@ -67,8 +69,7 @@ object BenchmarkRunner {
     val graphCtx =
       if (!needGraph) None
       else {
-        val coarse = if (multiscale) LocalVectorStore.build(spec, sf, multiscale = false) else store
-        val vecs = coarse.vecs // sorted by imgId = 0..n-1, one patch per image
+        val vecs = store.vecs // sorted by imgId = 0..n-1, one patch per image
         val graph = KnnGraph.nnDescent(vecs.toIndexedSeq, EnsK, DefaultSigma)
         Some(GraphContext(graph, vecs))
       }

@@ -88,7 +88,7 @@ object SearchSession {
         examples ++= user.labelPatches(patches, cat)
         q = method match {
           case MethodConfig.Aligned(_, cfg) => QueryAligner.align(q0, examples.toIndexedSeq, cfg, mD)
-          case MethodConfig.Rocchio => Rocchio().update(q0, examples.toIndexedSeq)
+          case MethodConfig.Rocchio => Rocchio.update(q0, examples.toIndexedSeq)
           case _ => q
         }
       }

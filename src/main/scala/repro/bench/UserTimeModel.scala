@@ -23,7 +23,6 @@ final case class UserTimeModel(
     baselineMarked: TimeCell,
     seesawNotMarked: TimeCell,
     seesawMarked: TimeCell,
-    minSeconds: Double = 0.3,
 ) {
 
   def cell(marked: Boolean, seesaw: Boolean): TimeCell = (marked, seesaw) match {
@@ -36,11 +35,14 @@ final case class UserTimeModel(
   /** Deterministic truncated-normal draw for one shown image. */
   def sample(key: Long, marked: Boolean, seesaw: Boolean): Double = {
     val c = cell(marked, seesaw)
-    math.max(minSeconds, c.meanSeconds + c.sdSeconds * Rng.gaussian(key))
+    math.max(UserTimeModel.MinSeconds, c.meanSeconds + c.sdSeconds * Rng.gaussian(key))
   }
 }
 
 object UserTimeModel {
+  /** Lower truncation point (seconds) of every per-image time draw. */
+  private val MinSeconds = 0.3
+
   /** Cell means from the paper's Table 5; per-sample spreads chosen so the
     * simulated population has human-plausible variability (the paper reports
     * only CIs of the mean).

@@ -1,9 +1,9 @@
 package repro.bench.tables
 
 import org.apache.spark.sql.SparkSession
-import repro.baseline.{Ens, Platt, Rocchio}
+import repro.baseline.{Ens, Rocchio}
 import repro.bench._
-import repro.core.{AlignerConfig, Example, Linalg, QueryAligner}
+import repro.core.{AlignerConfig, Example, QueryAligner}
 import repro.data.DatasetSpec
 import repro.embed.ClipSim
 import repro.graph.{DbAlign, KnnGraph, LabelPropagation}
@@ -118,8 +118,10 @@ object Table6 {
       val q0 = user.textEmbedding(cat)
       val seenHits = local.topImages(q0, 20)
       val seen = seenHits.map(_.imgId).toSet
-      val examples: IndexedSeq[Example] = seenHits.flatMap(h =>
-        user.labelPatches(ClipSim.patchRecords(spec, user.meta(h.imgId), rs.multiscale), cat))
+      // Each seen image's patches labeled once, in patchId order.
+      val seenLabels: Map[Long, IndexedSeq[Example]] = seenHits.map(h => h.imgId ->
+        user.labelPatches(ClipSim.patchRecords(spec, user.meta(h.imgId), rs.multiscale), cat).toIndexedSeq).toMap
+      val examples: IndexedSeq[Example] = seenHits.flatMap(h => seenLabels(h.imgId))
 
       // Patch-level labels for propagation (flat indices of seen images).
       val patchLabels: Map[Int, Double] = {
@@ -127,9 +129,8 @@ object Table6 {
         var i = 0
         while (i < local.imgIds.length) {
           if (seen.contains(local.imgIds(i))) {
-            val ex = user.labelPatches(
-              Seq(ClipSim.patchRecords(spec, user.meta(local.imgIds(i)), rs.multiscale)(local.patchIds(i))), cat)
-            b += i -> (if (ex.head.positive) 1.0 else 0.0)
+            val ex = seenLabels(local.imgIds(i))(local.patchIds(i))
+            b += i -> (if (ex.positive) 1.0 else 0.0)
           }
           i += 1
         }
@@ -138,7 +139,7 @@ object Table6 {
 
       val clipT = timeIt { sparkStore.topImages(q0, 10, seen) }
       val rocchioT = timeIt {
-        val q = Rocchio().update(q0, examples)
+        val q = Rocchio.update(q0, examples)
         sparkStore.topImages(q, 10, seen)
       }
       val seesawT = timeIt {
@@ -148,7 +149,7 @@ object Table6 {
       val propT = timeIt {
         // Full propagation to convergence each round — the linear-in-N cost
         // the M_D approximation exists to avoid (paper §4.2, Table 6).
-        val f = propagator.propagate(patchLabels, init = None, maxIters = 200, tol = 1e-5)
+        val f = propagator.propagate(patchLabels)
         var best = -1; var bestV = Double.NegativeInfinity
         var i = 0
         while (i < f.length) {
@@ -161,7 +162,7 @@ object Table6 {
         if (rs.multiscale) None // paper: ENS implemented for coarse only
         else Some {
           val ensGraph = KnnGraph.nnDescent(patchVecs, BenchmarkRunner.EnsK, BenchmarkRunner.DefaultSigma)
-          val prior = patchVecs.map(v => Platt.rawProbability(Linalg.dot(v, q0))).toArray
+          val prior = SearchSession.ensPrior(user, cat, GraphContext(ensGraph, local.vecs), calibrated = false)
           val ens = new Ens(ensGraph, prior)
           val labeled = seen.map(id => id.toInt -> user.isRelevant(id, cat)).toMap
           timeIt { ens.selectNext(labeled, horizon = 40) }

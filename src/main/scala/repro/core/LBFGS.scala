@@ -19,17 +19,16 @@ object LBFGS {
 
   private val C1 = 1e-4 // sufficient-decrease constant
   private val C2 = 0.9 // curvature constant
+  private val Memory = 10 // (s, y) correction pairs kept, the paper-typical value
 
   /** Minimize `f` starting at `x0`.
     *
-    * @param memory   number of (s, y) correction pairs kept (paper-typical 10)
     * @param maxIters hard iteration cap
     * @param gradTol  stop when the gradient inf-norm falls below this
     */
   def minimize(
       f: Objective,
       x0: Array[Double],
-      memory: Int = 10,
       maxIters: Int = 100,
       gradTol: Double = 1e-6,
   ): Result = {
@@ -53,7 +52,7 @@ object LBFGS {
           val sy = Linalg.dotDD(s, y)
           if (sy > 1e-12) {
             sHist.append(s); yHist.append(y); rhoHist.append(1.0 / sy)
-            if (sHist.size > memory) { sHist.removeHead(); yHist.removeHead(); rhoHist.removeHead() }
+            if (sHist.size > Memory) { sHist.removeHead(); yHist.removeHead(); rhoHist.removeHead() }
           }
           x = xNew; fx = fNew; g = gNew
           converged = infNorm(g) < gradTol

@@ -27,7 +27,6 @@ object AlignerConfig {
   */
 object QueryAligner {
 
-  private val LbfgsMemory = 10
   private val LbfgsMaxIters = 80
 
   /** The next query vector (unit norm).
@@ -48,7 +47,6 @@ object QueryAligner {
     val res = LBFGS.minimize(
       loss,
       Linalg.toDouble(Linalg.normalize(q0)),
-      memory = LbfgsMemory,
       maxIters = LbfgsMaxIters,
       gradTol = 1e-5,
     )

@@ -61,16 +61,6 @@ object ImageCorpus {
   def metasLocal(spec: DatasetSpec, sf: Double): IndexedSeq[ImageMeta] =
     (0L until spec.imagesAt(sf).toLong).map(imageMeta(spec, _))
 
-  /** Images as a DataFrame: (img_id, w, h, objects: array<struct<...>>). */
-  def images(spark: SparkSession, spec: DatasetSpec, sf: Double): DataFrame = {
-    import spark.implicits._
-    val n = spec.imagesAt(sf).toLong
-    spark.range(n)
-      .map(id => imageMeta(spec, id))
-      .toDF("imgId", "w", "h", "objects")
-      .withColumnRenamed("imgId", "img_id")
-  }
-
   /** Flat ground-truth boxes: (img_id, obj_idx, cat, mode, x0, y0, x1, y1). */
   def groundTruthBoxes(spark: SparkSession, spec: DatasetSpec, sf: Double): DataFrame = {
     import spark.implicits._

@@ -126,21 +126,4 @@ object ClipSim {
       }
       .toDF("img_id", "patch_id", "px0", "py0", "px1", "py1", "vec")
   }
-
-  /** Long-format vectors (img_id, patch_id, dim, value) for the DuckDB
-    * oracle, which recomputes dot-product scores in SQL.
-    */
-  def patchVectorsLong(
-      spark: SparkSession, spec: DatasetSpec, sf: Double, multiscale: Boolean): DataFrame = {
-    import spark.implicits._
-    val n = spec.imagesAt(sf).toLong
-    spark.range(n)
-      .flatMap { id =>
-        for {
-          p <- patchRecords(spec, ImageCorpus.imageMeta(spec, id), multiscale)
-          d <- p.vec.indices
-        } yield (p.imgId, p.patchId, d, p.vec(d).toDouble)
-      }
-      .toDF("img_id", "patch_id", "dim", "value")
-  }
 }

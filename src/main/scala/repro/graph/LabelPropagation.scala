@@ -3,12 +3,18 @@ package repro.graph
 /** Label propagation (Zhu & Ghahramani 2002) over a kNN graph.
   *
   * Iterates f ← D⁻¹ W f with labeled nodes clamped to their labels, starting
-  * unlabeled nodes at a prior. This is the conceptual starting point of the
+  * unlabeled nodes at 0. This is the conceptual starting point of the
   * paper's DB alignment (§4.2) and the "prop." latency column of Table 6 —
   * the point being that every feedback round must sweep the whole graph,
   * which is what the M_D approximation avoids.
   */
 object LabelPropagation {
+
+  /** Sweep cap and convergence tolerance: the one setting Table 6's "prop."
+    * cell runs.
+    */
+  private val MaxIters = 200
+  private val Tol = 1e-5
 
   /** Reusable propagator: the symmetrized adjacency is built once (that is
     * preprocessing); `propagate` is the per-feedback-round cost.
@@ -32,28 +38,20 @@ object LabelPropagation {
       (off, idx, wt)
     }
 
-    /** One full propagation to (approximate) convergence. */
-    def propagate(
-        labels: Map[Int, Double],
-        prior: Double = 0.0,
-        maxIters: Int = 50,
-        tol: Double = 1e-4,
-        init: Option[Array[Double]] = None,
-    ): Array[Double] = {
-      require(prior >= 0.0 && prior <= 1.0, "prior must be a probability")
-      require(init.forall(_.length == n), "init length must match graph size")
+    /** One full propagation to convergence, unlabeled nodes starting at 0. */
+    def propagate(labels: Map[Int, Double]): Array[Double] = {
       labels.foreach { case (i, y) =>
         require(i >= 0 && i < n, s"labeled node $i out of range")
         require(y == 0.0 || y == 1.0, s"labels must be 0/1, got $y")
       }
-      val f = init.map(_.clone()).getOrElse(Array.fill(n)(prior))
+      val f = new Array[Double](n)
       labels.foreach { case (i, y) => f(i) = y }
       val clamped = new Array[Boolean](n)
       labels.keysIterator.foreach(clamped(_) = true)
 
       var iter = 0
       var delta = Double.MaxValue
-      while (iter < maxIters && delta > tol) {
+      while (iter < MaxIters && delta > Tol) {
         delta = 0.0
         var i = 0
         while (i < n) {

@@ -47,6 +47,11 @@ class BenchmarkRunnerSpec extends SparkSpec {
     assert(a2.graphCtx.get.graph.n == a2.user.nImages)
   }
 
+  test("prepare rejects an ENS graph over a multiscale store") {
+    assertThrows[IllegalArgumentException](BenchmarkRunner.prepare(spark, spec, sf, multiscale = true,
+      needMd = false, needGraph = true))
+  }
+
   test("SeeSaw with DB alignment runs end-to-end through the Spark sweep") {
     val results = BenchmarkRunner.run(spark, spec, sf, Seq(MethodConfig.SeeSaw),
       multiscale = true, target = 3, budget = 12)

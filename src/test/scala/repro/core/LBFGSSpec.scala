@@ -98,12 +98,6 @@ class LBFGSSpec extends AnyFunSuite {
     assert(cos > 0.99, s"cos $cos")
   }
 
-  test("memory parameter accepts small values") {
-    val res = LBFGS.minimize(quadratic(Array(1.0, 2.0, 3.0), Array(1, 2, 3)),
-      Array(0.0, 0.0, 0.0), memory = 1)
-    assert(math.abs(res.x(2) - 3.0) < 1e-4)
-  }
-
   test("result is deterministic") {
     def run() = LBFGS.minimize(quadratic(Array(2.0, -1.0), Array(3.0, 0.5)), Array(9.0, -9.0))
     assert(run().x.sameElements(run().x))

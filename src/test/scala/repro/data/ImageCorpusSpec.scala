@@ -81,18 +81,6 @@ class ImageCorpusSpec extends SparkSpec {
     assert(spec.imagesAt(1e-9) == 50)
   }
 
-  test("Spark images DataFrame matches local metas") {
-    val df = ImageCorpus.images(spark, spec, TestData.OracleSf)
-    val local = ImageCorpus.metasLocal(spec, TestData.OracleSf)
-    assert(df.count() == local.size)
-    val rows = df.orderBy("img_id").collect()
-    rows.zip(local).foreach { case (r, m) =>
-      assert(r.getLong(0) == m.imgId)
-      assert(r.getInt(1) == m.w && r.getInt(2) == m.h)
-      assert(r.getSeq[Any](3).size == m.objects.size)
-    }
-  }
-
   test("groundTruthBoxes flattens every object exactly once") {
     val df = ImageCorpus.groundTruthBoxes(spark, spec, TestData.OracleSf)
     val local = ImageCorpus.metasLocal(spec, TestData.OracleSf)

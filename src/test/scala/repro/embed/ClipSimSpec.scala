@@ -1,7 +1,7 @@
 package repro.embed
 
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec, TestData}
+import repro.{Oracle, OracleTables, SparkSpec, TestData}
 import repro.core.Linalg
 import repro.data.ImageCorpus
 
@@ -132,17 +132,8 @@ class ClipSimSpec extends SparkSpec {
     }
   }
 
-  test("patchVectorsLong agrees with patchVectors (oracle wide/long consistency)") {
-    val wide = ClipSim.patchVectors(spark, spec, TestData.OracleSf, multiscale = false)
-      .select(col("img_id"), col("patch_id"), posexplode(col("vec")).as(Seq("dim", "v")))
-      .select(col("img_id"), col("patch_id"), col("dim"), col("v").cast("double").as("value"))
-    val long = ClipSim.patchVectorsLong(spark, spec, TestData.OracleSf, multiscale = false)
-    assert(wide.except(long).count() == 0)
-    assert(long.except(wide).count() == 0)
-  }
-
   test("oracle: patch norms are ~1 in DuckDB over the long format") {
-    val long = ClipSim.patchVectorsLong(spark, spec, TestData.OracleSf, multiscale = false)
+    val long = OracleTables.longPatchVectors(spark, spec, TestData.OracleSf, multiscale = false)
     val sparkNorms = long.groupBy("img_id", "patch_id")
       .agg(round(sum(col("value") * col("value")), 4).as("sq_norm"))
     Oracle.assertEquivalent(

@@ -44,30 +44,15 @@ class LabelPropagationSpec extends AnyFunSuite {
 
   test("no labels leaves the prior everywhere") {
     val (_, g) = twoClusters(10, 4)
-    val f = new LabelPropagation.Propagator(g).propagate(Map.empty, prior = 0.3)
-    f.foreach(v => assert(math.abs(v - 0.3) < 1e-9))
-  }
-
-  test("init array is honored and not mutated") {
-    val (_, g) = twoClusters(10, 5)
-    val init = Array.fill(g.n)(0.7)
-    val f = new LabelPropagation.Propagator(g).propagate(Map(0 -> 1.0), init = Some(init), maxIters = 1)
-    assert(init.forall(_ == 0.7)) // propagate must clone
-    assert(f(0) == 1.0)
+    val f = new LabelPropagation.Propagator(g).propagate(Map.empty)
+    f.foreach(v => assert(v == 0.0))
   }
 
   test("all-positive labels pull everything up") {
     val (_, g) = twoClusters(15, 6)
-    val f = new LabelPropagation.Propagator(g).propagate(Map(0 -> 1.0, 1 -> 1.0, 16 -> 1.0), prior = 0.0)
+    val f = new LabelPropagation.Propagator(g).propagate(Map(0 -> 1.0, 1 -> 1.0, 16 -> 1.0))
     val meanNear = (2 until 15).map(f(_)).sum / 13
     assert(meanNear > 0.5, s"mean $meanNear")
-  }
-
-  test("more iterations spread labels further") {
-    val (_, g) = twoClusters(40, 7)
-    val early = new LabelPropagation.Propagator(g).propagate(Map(0 -> 1.0), maxIters = 1, tol = 0)
-    val late = new LabelPropagation.Propagator(g).propagate(Map(0 -> 1.0), maxIters = 40, tol = 0)
-    assert(late.sum >= early.sum - 1e-9, s"late ${late.sum} early ${early.sum}")
   }
 
   test("rejects invalid labels") {
@@ -75,7 +60,6 @@ class LabelPropagationSpec extends AnyFunSuite {
     val prop = new LabelPropagation.Propagator(g)
     assertThrows[IllegalArgumentException](prop.propagate(Map(0 -> 0.5)))
     assertThrows[IllegalArgumentException](prop.propagate(Map(99 -> 1.0)))
-    assertThrows[IllegalArgumentException](prop.propagate(Map.empty, prior = 1.5))
   }
 
   test("Propagator reuse matches the one-shot API") {

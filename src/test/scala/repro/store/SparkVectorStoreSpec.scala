@@ -1,7 +1,7 @@
 package repro.store
 
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec, TestData}
+import repro.{Oracle, OracleTables, SparkSpec, TestData}
 import repro.core.{Linalg, Rng}
 import repro.embed.ClipSim
 
@@ -46,7 +46,7 @@ class SparkVectorStoreSpec extends SparkSpec {
 
   test("oracle: per-image max-patch scores match DuckDB SQL") {
     val q = spec.conceptSpace.textEmbedding(1)
-    val long = ClipSim.patchVectorsLong(spark, spec, sf, multiscale = true)
+    val long = OracleTables.longPatchVectors(spark, spec, sf, multiscale = true)
     val sparkScores = sparkStore.scoredImages(q)
       .select(col("img_id"), round(col("score"), 5).as("score"))
     Oracle.assertEquivalent(
@@ -64,7 +64,7 @@ class SparkVectorStoreSpec extends SparkSpec {
   test("oracle: top-5 images match DuckDB order-by-limit") {
     val q = spec.conceptSpace.textEmbedding(2)
     import spark.implicits._
-    val long = ClipSim.patchVectorsLong(spark, spec, sf, multiscale = true)
+    val long = OracleTables.longPatchVectors(spark, spec, sf, multiscale = true)
     val top = sparkStore.topImages(q, 5)
     val sparkTop = top.map(h => (h.imgId, BigDecimal(h.score).setScale(5, BigDecimal.RoundingMode.HALF_UP).toDouble))
       .toDF("img_id", "score")
