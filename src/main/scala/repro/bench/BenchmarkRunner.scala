@@ -78,14 +78,12 @@ object BenchmarkRunner {
 
   /** Zero-shot coarse AP per category — defines the hard subset (AP < .5,
     * the dashed line of Figure 1). Cheap enough to run on the driver.
+    * `coarse` is the corpus's coarse store (`multiscale = false`).
     */
-  def zeroShotCoarseAp(spec: DatasetSpec, sf: Double): Map[Int, Double] = {
-    val user = new SimulatedUser(spec, sf)
-    val store = LocalVectorStore.build(spec, sf, multiscale = false)
+  def zeroShotCoarseAp(user: SimulatedUser, coarse: LocalVectorStore): Map[Int, Double] =
     user.queryCategories.map { cat =>
-      cat -> SearchSession.run(store, user, cat, MethodConfig.ZeroShot, multiscale = false).ap
+      cat -> SearchSession.run(coarse, user, cat, MethodConfig.ZeroShot, multiscale = false).ap
     }.toMap
-  }
 
   /** Run `methods` over every query category of the dataset in parallel. */
   def run(

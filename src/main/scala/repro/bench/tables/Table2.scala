@@ -4,6 +4,7 @@ import org.apache.spark.sql.SparkSession
 import repro.bench._
 import repro.core.Metrics
 import repro.data.DatasetSpec
+import repro.store.LocalVectorStore
 
 /** Table 2: increases in mean AP per SeeSaw optimization (rows), per dataset
   * (columns), over all queries and over the hard subset (zero-shot AP < .5).
@@ -43,7 +44,8 @@ object Table2 {
       MethodConfig.SeeSaw,
     )
     val perDataset = DatasetSpec.all().map { spec =>
-      val zsCoarse = BenchmarkRunner.zeroShotCoarseAp(spec, sf)
+      val zsCoarse = BenchmarkRunner.zeroShotCoarseAp(
+        new SimulatedUser(spec, sf), LocalVectorStore.build(spec, sf, multiscale = false))
       val cats = zsCoarse.keySet
       val hard = cats.filter(c => Metrics.isHard(zsCoarse(c)))
       val results = BenchmarkRunner.run(spark, spec, sf, multiscaleMethods, multiscale = true)

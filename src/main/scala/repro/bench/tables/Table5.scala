@@ -58,15 +58,14 @@ object Table5 {
     // 7 queries as in §5.5: a hard set and an easy set, drawn from the
     // corpus with the widest difficulty spread (LVIS-like).
     val spec = DatasetSpec.lvisLike()
-    val zs = BenchmarkRunner.zeroShotCoarseAp(spec, sf)
+    val arts = BenchmarkRunner.prepare(
+      spark, spec, sf, multiscale = true, needMd = true, needGraph = false)
+    val coarseStore = repro.store.LocalVectorStore.build(spec, sf, multiscale = false)
+    val zs = BenchmarkRunner.zeroShotCoarseAp(arts.user, coarseStore)
     val sorted = zs.toSeq.sortBy(_._2)
     val hardCats = sorted.take(4).map(_._1)
     val easyCats = sorted.reverse.take(3).map(_._1)
     val queries = hardCats.map(_ -> true) ++ easyCats.map(_ -> false)
-
-    val arts = BenchmarkRunner.prepare(
-      spark, spec, sf, multiscale = true, needMd = true, needGraph = false)
-    val coarseStore = repro.store.LocalVectorStore.build(spec, sf, multiscale = false)
 
     val model = UserTimeModel.FromPaper
     val perCell = scala.collection.mutable.Map.empty[(Boolean, Boolean), scala.collection.mutable.ArrayBuffer[Double]]

@@ -15,10 +15,10 @@ import repro.store.{LocalVectorStore, SparkVectorStore}
   * multiplier `scale` of [[compute]].
   *
   * Per iteration each method does its update step plus (for query-vector
-  * methods) a store lookup on the DataFrame scan store — the production
-  * dataflow. "prop." re-propagates labels over the full patch kNN graph,
-  * the cost the M_D approximation avoids; ENS is only implemented for
-  * coarse indexing, as in the paper (NA on multiscale rows).
+  * methods) a store lookup on the Spark store, one job per lookup — the
+  * production dataflow. "prop." re-propagates labels over the full patch
+  * kNN graph, the cost the M_D approximation avoids; ENS is only
+  * implemented for coarse indexing, as in the paper (NA on multiscale rows).
   */
 object Table6 {
 

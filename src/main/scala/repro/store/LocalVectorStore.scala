@@ -8,7 +8,7 @@ import repro.embed.{ClipSim, PatchRecord}
   *
   * This is the store broadcast into per-query simulation UDFs (thousands of
   * interactive search loops run against it during the benchmark sweeps) and
-  * the exact reference the Spark and LSH stores are tested against. Patches
+  * the exact reference the Spark store is tested against. Patches
   * of an image are stored contiguously, sorted by (imgId, patchId), so the
   * per-image max rule is a streaming pass over a run of rows.
   *
@@ -127,7 +127,7 @@ object LocalVectorStore {
   /** (score desc, imgId asc): the result order, and a priority queue's
     * worst-first order.
     */
-  private val BestFirst: Ordering[ImageHit] = Ordering.by[ImageHit, (Double, Long)](h => (-h.score, h.imgId))
+  private[store] val BestFirst: Ordering[ImageHit] = Ordering.by[ImageHit, (Double, Long)](h => (-h.score, h.imgId))
 
   // Sorted by (imgId, patchId) so per-image blocks are contiguous.
   private def sortRecords(records: IndexedSeq[PatchRecord]): Array[PatchRecord] =

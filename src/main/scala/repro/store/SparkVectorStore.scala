@@ -1,69 +1,63 @@
 package repro.store
 
+import org.apache.spark.HashPartitioner
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.UserDefinedFunction
-import org.apache.spark.sql.functions._
+import org.apache.spark.storage.StorageLevel
+import repro.embed.PatchRecord
 
-/** DataFrame-based exact MIPS scan store.
+/** Distributed exact MIPS scan store.
   *
   * This is the "production" dataflow path: the patch-vector table stays
-  * distributed and each lookup is a Spark job — score UDF over the vector
-  * column, per-image max aggregation (the multiscale rule), exclusion of
-  * seen images, then a global top-k. Used for correctness tests against the
-  * local store and for the Table 6 latency measurements, where per-iteration
+  * distributed, and each lookup is one Spark job. At construction the table
+  * is hash-partitioned by image into one partition per task slot
+  * (`defaultParallelism`), so no image spans two partitions, and each
+  * partition becomes a one-chunk `LocalVectorStore`, cached in memory. A
+  * lookup runs the local store's scan in every partition and collects each
+  * partition's top-k; the driver merges them under the same (score desc,
+  * imgId asc) order the local store uses for its chunks. Every image is
+  * scored whole inside one partition, so any image of the global top-k is
+  * in its partition's top-k and the merge is exact; scores are the local
+  * store's, bit for bit. Used for correctness tests against the local
+  * store and for the Table 6 latency measurements, where per-iteration
   * latency of the real dataflow is the quantity of interest.
   *
-  * @param df cached DataFrame with columns (img_id, patch_id, vec)
+  * @param df patch-vector table with columns (img_id, patch_id, vec); it is
+  *           read once here and not kept cached
   */
 final class SparkVectorStore(spark: SparkSession, df: DataFrame, val dim: Int) extends VectorStore {
+  import spark.implicits._
 
-  private val data = df.select("img_id", "patch_id", "vec").cache()
-  override lazy val nVectors: Long = data.count()
-  override lazy val nImages: Long = data.select("img_id").distinct().count()
+  // Hash-partitioned by image, one partition per task slot, so no image
+  // spans two partitions whatever the input's partitioning.
+  private val parts: RDD[LocalVectorStore] = df.select("img_id", "patch_id", "vec")
+    .as[(Long, Int, Array[Float])].rdd
+    .map { case (img, patch, vec) => img -> (patch, vec) }
+    .partitionBy(new HashPartitioner(spark.sparkContext.defaultParallelism))
+    .mapPartitions { rows =>
+      // One chunk: Spark's tasks already supply the parallelism, so a
+      // partition's scan never forks onto the ForkJoin pool. The store
+      // reads no patch box.
+      val records = rows.map { case (img, (patch, vec)) => PatchRecord(img, patch, 0, 0, 0, 0, vec) }.toIndexedSeq
+      if (records.isEmpty) Iterator.empty else Iterator(LocalVectorStore.withProcessors(records, 1))
+    }
+    .persist(StorageLevel.MEMORY_ONLY)
 
-  private def scoreUdf(q: Array[Float]): UserDefinedFunction = udf { (vec: Seq[Float]) =>
-    // Traverse via iterator: Spark may hand the array column over as a
-    // linked Seq, where positional indexing would be O(dim²) per row.
-    var s = 0.0; var i = 0
-    val it = vec.iterator
-    while (it.hasNext && i < q.length) { s += it.next().toDouble * q(i); i += 1 }
-    s
-  }
+  // (vectors, images, dim) of each partition's store; this job fills the cache.
+  private val partStats: Array[(Long, Long, Int)] = parts.map(s => (s.nVectors, s.nImages, s.dim)).collect()
+  partStats.foreach { case (_, _, d) => require(d == dim, s"patch vector dim $d != store dim $dim") }
+  override val nVectors: Long = partStats.map(_._1).sum
+  override val nImages: Long = partStats.map(_._2).sum
 
   override def topImages(q: Array[Float], k: Int, exclude: Set[Long]): IndexedSeq[ImageHit] = {
     require(q.length == dim, s"query dim ${q.length} != store dim $dim")
     require(k > 0, "k must be positive")
-    scoredImages(q, exclude)
-      .orderBy(desc("score"), asc("img_id"))
-      .limit(k)
-      .collect()
-      .map(r => ImageHit(r.getLong(0), r.getInt(1), r.getDouble(2)))
-      .toIndexedSeq
+    parts.map(_.topImages(q, k, exclude).toArray).collect()
+      .flatten.sorted(LocalVectorStore.BestFirst).take(k).toIndexedSeq
   }
 
-  /** Per-image best (patch, score) as a DataFrame — the scan dataflow shared
-    * by topImages and the oracle tests: score every patch, take the max
-    * (struct max gives arg-max of the patch too), drop seen images.
-    */
-  def scoredImages(q: Array[Float], exclude: Set[Long] = Set.empty): DataFrame = {
-    val base = if (exclude.isEmpty) data else {
-      val ex = exclude // stable reference for the closure
-      val keep = udf((id: Long) => !ex.contains(id))
-      data.filter(keep(col("img_id")))
-    }
-    base
-      .withColumn("score", scoreUdf(q)(col("vec")))
-      .groupBy("img_id")
-      .agg(max(struct(col("score"), col("patch_id"))).as("best"))
-      .select(
-        col("img_id"),
-        col("best.patch_id").as("patch_id"),
-        col("best.score").as("score"),
-      )
-  }
-
-  /** Release the cached vector table. */
-  def unpersist(): Unit = data.unpersist()
+  /** Release the cached partition stores. */
+  def unpersist(): Unit = parts.unpersist()
 }
 
 object SparkVectorStore {

@@ -60,8 +60,8 @@ class BenchmarkRunnerSpec extends SparkSpec {
   }
 
   test("zeroShotCoarseAp covers every query category") {
-    val aps = BenchmarkRunner.zeroShotCoarseAp(spec, sf)
     val user = new SimulatedUser(spec, sf)
+    val aps = BenchmarkRunner.zeroShotCoarseAp(user, repro.store.LocalVectorStore.build(spec, sf, multiscale = false))
     assert(aps.keySet == user.queryCategories.toSet)
     aps.values.foreach(v => assert(v >= 0 && v <= 1))
   }

@@ -3,6 +3,7 @@ package repro.integration
 import repro.{SparkSpec, TestData}
 import repro.bench._
 import repro.core.Metrics
+import repro.store.LocalVectorStore
 
 /** Small-scale integration sweep asserting the directional claims the full
   * bench tables rest on: SeeSaw improves on zero-shot on hard queries, and
@@ -21,7 +22,8 @@ class MiniBenchmarkSpec extends SparkSpec {
   private lazy val results =
     BenchmarkRunner.run(spark, spec, sf, methods, multiscale = true)
 
-  private lazy val zsAp = BenchmarkRunner.zeroShotCoarseAp(spec, sf)
+  private lazy val zsAp = BenchmarkRunner.zeroShotCoarseAp(
+    new SimulatedUser(spec, sf), LocalVectorStore.build(spec, sf, multiscale = false))
   private lazy val cats = zsAp.keySet
   private lazy val hard = cats.filter(c => Metrics.isHard(zsAp(c)))
 

@@ -3,6 +3,7 @@ package repro.store
 import org.apache.spark.sql.functions._
 import repro.{Oracle, OracleTables, SparkSpec, TestData}
 import repro.core.{Linalg, Rng}
+import repro.data.ImageCorpus
 import repro.embed.ClipSim
 
 class SparkVectorStoreSpec extends SparkSpec {
@@ -26,14 +27,55 @@ class SparkVectorStoreSpec extends SparkSpec {
   test("topImages equals the local store exactly") {
     for (s <- 0 until 5) {
       val q = Linalg.normalize(Rng.gaussianVector(Rng.key(2, s), spec.dim))
-      val a = sparkStore.topImages(q, 7)
-      val b = local.topImages(q, 7)
-      assert(a.map(_.imgId) == b.map(_.imgId), s"seed $s")
-      a.zip(b).foreach { case (x, y) =>
-        assert(x.patchId == y.patchId)
-        assert(math.abs(x.score - y.score) < 1e-9)
-      }
+      // Case-class equality: image ids, patch ids and scores compared with ==.
+      assert(sparkStore.topImages(q, 7) == local.topImages(q, 7), s"seed $s")
     }
+  }
+
+  /** Hits for k ∈ {1, 7, nImages + 5}, with and without an exclude set,
+    * equal the local store's bit for bit.
+    */
+  private def assertEqualsLocal(store: SparkVectorStore, reference: LocalVectorStore): Unit = {
+    val n = reference.nImages.toInt
+    val exclude = reference.imgIds.distinct.zipWithIndex.collect { case (id, i) if i % 3 == 0 => id }.toSet
+    for (s <- 0 until 3; k <- Seq(1, 7, n + 5); ex <- Seq(Set.empty[Long], exclude)) {
+      val q = Linalg.normalize(Rng.gaussianVector(Rng.key(5, s), spec.dim))
+      assert(store.topImages(q, k, ex) == reference.topImages(q, k, ex), s"seed $s k $k exclude ${ex.size}")
+    }
+  }
+
+  test("images straddling input partitions") {
+    // Round-robin: each image's patch rows land in several input partitions.
+    val df = ClipSim.patchVectors(spark, spec, sf, multiscale = true).repartition(7)
+    val store = SparkVectorStore.fromDataFrame(spark, df, spec.dim)
+    try {
+      assert(store.nVectors == local.nVectors && store.nImages == local.nImages)
+      assertEqualsLocal(store, local)
+    } finally store.unpersist()
+  }
+
+  test("more partitions than images") {
+    // With more than two task slots, some partitions hold no image.
+    val nImg = 2
+    val df = ClipSim.patchVectors(spark, spec, sf, multiscale = true).filter(col("img_id") < nImg)
+    val store = SparkVectorStore.fromDataFrame(spark, df, spec.dim)
+    val few = new LocalVectorStore((0 until nImg).flatMap(i =>
+      ClipSim.patchRecords(spec, ImageCorpus.imageMeta(spec, i.toLong), multiscale = true)))
+    try {
+      assert(store.nVectors == few.nVectors && store.nImages == few.nImages)
+      assert(store.nImages == nImg)
+      assertEqualsLocal(store, few)
+    } finally store.unpersist()
+  }
+
+  test("a vector of the wrong length is rejected at build") {
+    val shorten = udf((id: Long, p: Int, v: Seq[Float]) => if (id == 3L && p == 4) v.dropRight(1) else v)
+    val df = ClipSim.patchVectors(spark, spec, sf, multiscale = true)
+      .withColumn("vec", shorten(col("img_id"), col("patch_id"), col("vec")))
+    val q = Linalg.normalize(Rng.gaussianVector(7L, spec.dim))
+    val e = intercept[Exception](SparkVectorStore.fromDataFrame(spark, df, spec.dim).topImages(q, 3))
+    val messages = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).map(_.getMessage).mkString(" | ")
+    assert(messages.contains("dim"), messages)
   }
 
   test("exclusion works on the Spark path") {
@@ -47,7 +89,9 @@ class SparkVectorStoreSpec extends SparkSpec {
   test("oracle: per-image max-patch scores match DuckDB SQL") {
     val q = spec.conceptSpace.textEmbedding(1)
     val long = OracleTables.longPatchVectors(spark, spec, sf, multiscale = true)
-    val sparkScores = sparkStore.scoredImages(q)
+    import spark.implicits._
+    val sparkScores = sparkStore.topImages(q, sparkStore.nImages.toInt)
+      .map(h => (h.imgId, h.score)).toDF("img_id", "score")
       .select(col("img_id"), round(col("score"), 5).as("score"))
     Oracle.assertEquivalent(
       sparkScores,
