@@ -40,11 +40,11 @@ object Table6 {
       Seq("vectors", "CLIP", "ENS", "Rocchio", "SeeSaw", "prop."),
       rows.map(r => r.label -> Seq(
         r.nVectors.toString,
-        f"${r.clip}%.2f",
-        r.ens.map(e => f"$e%.2f").getOrElse("NA"),
-        f"${r.rocchio}%.2f",
-        f"${r.seesaw}%.2f",
-        f"${r.prop}%.2f",
+        f"${r.clip}%.3f",
+        r.ens.map(e => f"$e%.3f").getOrElse("NA"),
+        f"${r.rocchio}%.3f",
+        f"${r.seesaw}%.3f",
+        f"${r.prop}%.3f",
       )),
     )
   }

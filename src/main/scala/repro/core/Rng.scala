@@ -25,6 +25,11 @@ object Rng {
     k
   }
 
+  /** [[key]] of one part, without the varargs `Seq`: the same value as
+    * `key(seed, Seq(p): _*)`.
+    */
+  def key(seed: Long, p: Long): Long = mix(mix(seed) ^ p)
+
   /** Uniform double in [0, 1). */
   def uniform(k: Long): Double = (mix(k) >>> 11) * (1.0 / (1L << 53))
 

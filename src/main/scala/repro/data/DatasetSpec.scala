@@ -49,7 +49,12 @@ final case class DatasetSpec(
   /** Image count at a given scale factor (>= 50 so AP stats are meaningful). */
   def imagesAt(sf: Double): Int = math.max(50, (nImages * sf).toInt)
 
-  def conceptSpace: ConceptSpace = ConceptSpace(
+  /** The spec's concept space, built once per instance and shared by every
+    * patch, object and text query of the corpus, so its prototype tables are
+    * computed once. `@transient`: serialization ships only the constructor
+    * fields, and each JVM rebuilds the space on first use.
+    */
+  @transient lazy val conceptSpace: ConceptSpace = ConceptSpace(
     dim = dim, nCats = nCats, nBg = nBg, seed = seed,
     deficitGoodFrac = deficitGoodFrac,
     deficitGoodRange = deficitGoodRange,

@@ -32,6 +32,10 @@ final case class PatchRecord(
   * 360px patch embedding — the mechanism behind the paper's multiscale gains
   * (§4.3). All draws are pure functions of (spec, imgId, region), so Spark
   * executors and local stores produce bitwise-identical vectors.
+  *
+  * The concept prototypes come from the spec's one shared [[ConceptSpace]],
+  * computed once, and [[patchRecords]] computes each object's instance
+  * vector once per image, not once per patch that sees it.
   */
 object ClipSim {
 
@@ -84,7 +88,12 @@ object ClipSim {
     * fraction raised to the prominence exponent (see DatasetSpec):
     * CLIP-like encoders weight salient objects super-linearly vs pixel area.
     */
-  def embedRegion(spec: DatasetSpec, meta: ImageMeta, region: Box): Array[Float] = {
+  def embedRegion(spec: DatasetSpec, meta: ImageMeta, region: Box): Array[Float] =
+    embedRegion(spec, meta, region, instanceVector(spec, meta, _))
+
+  /** [[embedRegion]] with object i's instance vector given by `inst(i)`. */
+  private def embedRegion(
+      spec: DatasetSpec, meta: ImageMeta, region: Box, inst: Int => Array[Float]): Array[Float] = {
     require(region.area > 0, "cannot embed an empty region")
     val acc = new Array[Float](spec.dim)
     var objCover = 0.0
@@ -93,7 +102,7 @@ object ClipSim {
       val o = meta.objects(i)
       val frac = o.box.intersectionArea(region) / region.area
       if (frac > 0) {
-        Linalg.axpy(math.pow(frac, DatasetSpec.Prominence), instanceVector(spec, meta, i), acc)
+        Linalg.axpy(math.pow(frac, DatasetSpec.Prominence), inst(i), acc)
         objCover += frac
       }
       i += 1
@@ -105,11 +114,15 @@ object ClipSim {
     Linalg.normalize(acc)
   }
 
-  /** All patch records of one image (patch 0 = coarse). */
-  def patchRecords(spec: DatasetSpec, meta: ImageMeta, multiscale: Boolean): Seq[PatchRecord] =
+  /** All patch records of one image (patch 0 = coarse). Each object's
+    * instance vector is computed once and shared by every patch.
+    */
+  def patchRecords(spec: DatasetSpec, meta: ImageMeta, multiscale: Boolean): Seq[PatchRecord] = {
+    val inst = Array.tabulate(meta.objects.length)(instanceVector(spec, meta, _))
     Multiscale.patches(meta.w, meta.h, multiscale).zipWithIndex.map { case (b, pid) =>
-      PatchRecord(meta.imgId, pid, b.x0, b.y0, b.x1, b.y1, embedRegion(spec, meta, b))
+      PatchRecord(meta.imgId, pid, b.x0, b.y0, b.x1, b.y1, embedRegion(spec, meta, b, inst(_)))
     }
+  }
 
   /** The preprocessing pipeline (paper §2.4) as a Spark dataflow:
     * image metadata → multiscale tiling → embedding → vector table

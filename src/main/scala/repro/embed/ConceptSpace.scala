@@ -19,6 +19,11 @@ import repro.core.{Linalg, Rng}
   *
   * Everything is a pure function of (config, indices) via [[Rng]], so Spark
   * executors and the driver reconstruct identical vectors with no shipping.
+  *
+  * The category, background and second-mode prototypes are computed once per
+  * instance, on first use, into `@transient` tables that serialization does
+  * not ship. `catProto`, `bgProto` and `modeProto` return the shared table
+  * rows: callers only read them, and must clone a row before changing it.
   */
 final case class ConceptSpace(
     dim: Int,
@@ -40,16 +45,39 @@ final case class ConceptSpace(
   private val SplitStream = 0x1005L
   private val SplitDirStream = 0x1006L
 
-  /** Unit prototype of category k (its primary visual mode). */
+  @transient private lazy val catProtos: Array[Array[Float]] =
+    Array.tabulate(nCats)(k => Linalg.normalize(Rng.gaussianVector(Rng.key(seed, CatStream, k), dim)))
+
+  @transient private lazy val bgProtos: Array[Array[Float]] =
+    Array.tabulate(nBg)(j => Linalg.normalize(Rng.gaussianVector(Rng.key(seed, BgStream, j), dim)))
+
+  /** Second-mode prototype of each split category: the primary prototype
+    * moved `SplitDistance` along a unit direction orthogonal to it.
+    */
+  @transient private lazy val secondModeProtos: Map[Int, Array[Float]] =
+    (0 until nCats).filter(hasSplitMode).map { k =>
+      val c = Linalg.toDouble(catProtos(k))
+      val dir = orthogonalize(
+        Linalg.toDouble(Rng.gaussianVector(Rng.key(seed, SplitDirStream, k), dim)), c)
+      val p = c.clone()
+      Linalg.axpyD(ConceptSpace.SplitDistance, dir, p)
+      k -> Linalg.toFloat(Linalg.normalizeD(p))
+    }.toMap
+
+  /** Unit prototype of category k (its primary visual mode). Shared row:
+    * do not mutate.
+    */
   def catProto(k: Int): Array[Float] = {
     require(k >= 0 && k < nCats, s"category $k out of range [0,$nCats)")
-    Linalg.normalize(Rng.gaussianVector(Rng.key(seed, CatStream, k), dim))
+    catProtos(k)
   }
 
-  /** Unit prototype of background-clutter concept j. */
+  /** Unit prototype of background-clutter concept j. Shared row: do not
+    * mutate.
+    */
   def bgProto(j: Int): Array[Float] = {
     require(j >= 0 && j < nBg, s"bg concept $j out of range [0,$nBg)")
-    Linalg.normalize(Rng.gaussianVector(Rng.key(seed, BgStream, j), dim))
+    bgProtos(j)
   }
 
   /** Per-category alignment deficit δ ≥ 0 (0 = perfectly aligned text). */
@@ -114,18 +142,13 @@ final case class ConceptSpace(
   /** Number of visual modes of category k (1 or 2). */
   def nModes(k: Int): Int = if (hasSplitMode(k)) 2 else 1
 
-  /** Prototype of visual mode m of category k. Mode 0 is the primary. */
+  /** Prototype of visual mode m of category k. Mode 0 is the primary.
+    * Shared row: do not mutate.
+    */
   def modeProto(k: Int, m: Int): Array[Float] = {
+    require(k >= 0 && k < nCats, s"category $k out of range [0,$nCats)")
     require(m >= 0 && m < nModes(k), s"mode $m out of range for category $k")
-    if (m == 0) catProto(k)
-    else {
-      val c = Linalg.toDouble(catProto(k))
-      val dir = orthogonalize(
-        Linalg.toDouble(Rng.gaussianVector(Rng.key(seed, SplitDirStream, k), dim)), c)
-      val p = c.clone()
-      Linalg.axpyD(ConceptSpace.SplitDistance, dir, p)
-      Linalg.toFloat(Linalg.normalizeD(p))
-    }
+    if (m == 0) catProtos(k) else secondModeProtos(k)
   }
 }
 

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test}
 import org.scalatest.funsuite.AnyFunSuite
 
 class RngSpec extends AnyFunSuite {
@@ -22,6 +23,16 @@ class RngSpec extends AnyFunSuite {
 
   test("key with no parts equals mixed seed") {
     assert(Rng.key(7) == Rng.mix(7))
+  }
+
+  test("one-part key equals the varargs key") {
+    val edge = Gen.oneOf(0L, -1L, 1L, Long.MinValue, Long.MaxValue)
+    val long = Gen.frequency(1 -> edge, 3 -> Gen.long)
+    val prop = Prop.forAll(long, long)((s: Long, p: Long) => Rng.key(s, p) == Rng.key(s, Seq(p): _*))
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(2000), prop)
+    assert(result.passed, result.status)
+    for (s <- Seq(0L, -1L, Long.MinValue); p <- Seq(0L, -1L, Long.MinValue))
+      assert(Rng.key(s, p) == Rng.key(s, Seq(p): _*))
   }
 
   test("uniform stays in [0,1) for arbitrary keys") {

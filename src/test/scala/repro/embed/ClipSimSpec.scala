@@ -3,7 +3,7 @@ package repro.embed
 import org.apache.spark.sql.functions._
 import repro.{Oracle, OracleTables, SparkSpec, TestData}
 import repro.core.Linalg
-import repro.data.ImageCorpus
+import repro.data.{DatasetSpec, ImageCorpus}
 
 class ClipSimSpec extends SparkSpec {
 
@@ -114,6 +114,40 @@ class ClipSimSpec extends SparkSpec {
     val relMean = rel.sum / rel.size
     val irrMean = irr.sum / irr.size
     assert(relMean > irrMean + 0.05, s"rel $relMean irr $irrMean")
+  }
+
+  /** 64-bit FNV-1a over the IEEE bits of every float, in order. */
+  private def fnv(h0: Long, v: Array[Float]): Long = {
+    var h = h0
+    var i = 0
+    while (i < v.length) {
+      h = (h ^ (java.lang.Float.floatToIntBits(v(i)) & 0xffffffffL)) * 0x100000001b3L
+      i += 1
+    }
+    h
+  }
+
+  test("encoder output is bit-identical to the parent's") {
+    // Per spec at dim 64: (hash of every multiscale patch vector of images
+    // 0..19 in patch order, hash of every category's text embedding). The
+    // constants were computed by this test on the encoder before prototypes
+    // and instance vectors were cached; any change to the float arithmetic
+    // or its order changes them.
+    val expected = Map(
+      "LVIS" -> (-6359770812609438678L, -6759910812600354972L),
+      "ObjNet" -> (-1672265349560970096L, -1516475576392926322L),
+      "COCO" -> (-6095032089014096176L, 6488971175279395690L),
+      "BDD" -> (8909732917518712563L, -7222853748108761817L),
+    )
+    val got = DatasetSpec.all(dim = 64).map { s =>
+      var patches = 0xcbf29ce484222325L
+      for (id <- 0L until 20L; p <- ClipSim.patchRecords(s, ImageCorpus.imageMeta(s, id), multiscale = true))
+        patches = fnv(patches, p.vec)
+      var text = 0xcbf29ce484222325L
+      for (k <- 0 until s.nCats) text = fnv(text, s.conceptSpace.textEmbedding(k))
+      s.name -> (patches, text)
+    }.toMap
+    assert(got == expected)
   }
 
   test("Spark patchVectors pipeline equals local patchRecords bitwise") {

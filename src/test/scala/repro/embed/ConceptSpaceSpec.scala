@@ -1,7 +1,11 @@
 package repro.embed
 
+import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestData
 import repro.core.Linalg
+import repro.data.{DatasetSpec, ImageCorpus}
+import repro.store.LocalVectorStore
 
 class ConceptSpaceSpec extends AnyFunSuite {
 
@@ -114,10 +118,53 @@ class ConceptSpaceSpec extends AnyFunSuite {
     assertThrows[IllegalArgumentException](cs.modeProto(0, 1))
   }
 
+  test("modeProto rejects an out-of-range category for either mode") {
+    val cs = space(splitFrac = 1.0)
+    assertThrows[IllegalArgumentException](cs.modeProto(40, 0))
+    assertThrows[IllegalArgumentException](cs.modeProto(40, 1))
+    assertThrows[IllegalArgumentException](cs.modeProto(-1, 1))
+  }
+
   test("invalid constructor arguments are rejected") {
     assertThrows[IllegalArgumentException](space(goodFrac = 1.5))
     assertThrows[IllegalArgumentException] {
       ConceptSpace(0, 1, 1, 0, 0.5, (0.0, 0.1), (0.5, 1.0), 0.1)
     }
+  }
+
+  private def javaBytes(o: AnyRef): Array[Byte] = {
+    val bytes = new ByteArrayOutputStream()
+    val out = new ObjectOutputStream(bytes)
+    out.writeObject(o)
+    out.close()
+    bytes.toByteArray
+  }
+
+  test("serialization ships no prototype table, and a round trip re-embeds identically") {
+    val spec = TestData.tiny()
+    val freshSpec = javaBytes(spec).length
+    val freshSpace = javaBytes(spec.conceptSpace.copy()).length
+    val meta = ImageCorpus.imageMeta(spec, 3)
+    val before = ClipSim.patchRecords(spec, meta, multiscale = true)
+    val filled = javaBytes(spec)
+    assert(filled.length == freshSpec)
+    assert(javaBytes(spec.conceptSpace).length == freshSpace)
+    val back = new ObjectInputStream(new ByteArrayInputStream(filled)).readObject().asInstanceOf[DatasetSpec]
+    assert(back == spec)
+    val after = ClipSim.patchRecords(back, meta, multiscale = true)
+    assert(after.map(_.vec.toVector) == before.map(_.vec.toVector))
+  }
+
+  test("building a store and embedding text leave every shared prototype row unchanged") {
+    val spec = TestData.tiny().copy(localitySplitFrac = 0.5)
+    LocalVectorStore.build(spec, TestData.OracleSf, multiscale = true)
+    val cs = spec.conceptSpace
+    (0 until cs.nCats).foreach(cs.textEmbedding)
+    val fresh = cs.copy()
+    assert((0 until cs.nCats).exists(cs.nModes(_) == 2))
+    for (k <- 0 until cs.nCats; m <- 0 until cs.nModes(k))
+      assert(cs.modeProto(k, m).sameElements(fresh.modeProto(k, m)), s"mode $m of category $k")
+    for (k <- 0 until cs.nCats) assert(cs.catProto(k).sameElements(fresh.catProto(k)), s"category $k")
+    for (j <- 0 until cs.nBg) assert(cs.bgProto(j).sameElements(fresh.bgProto(j)), s"bg concept $j")
   }
 }
