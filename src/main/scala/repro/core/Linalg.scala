@@ -74,11 +74,6 @@ object Linalg {
     s
   }
 
-  def cosine(a: Array[Float], b: Array[Float]): Double = {
-    val na = norm(a); val nb = norm(b)
-    if (na < 1e-12 || nb < 1e-12) 0.0 else dot(a, b) / (na * nb)
-  }
-
   /** Row-major symmetric matrix–vector product: out = M x, M is d×d. */
   def symMatVec(m: Array[Double], d: Int, x: Array[Double]): Array[Double] = {
     require(m.length == d * d, s"matrix size ${m.length} != $d^2")
@@ -93,10 +88,6 @@ object Linalg {
     }
     out
   }
-
-  /** Quadratic form x^T M x for row-major d×d M. */
-  def quadForm(m: Array[Double], d: Int, x: Array[Double]): Double =
-    dotDD(symMatVec(m, d, x), x)
 
   /** Rank-one update: M += alpha * v v^T (row-major, in place). */
   def addOuter(m: Array[Double], d: Int, alpha: Double, v: Array[Double]): Unit = {

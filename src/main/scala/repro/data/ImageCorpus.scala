@@ -1,6 +1,5 @@
 package repro.data
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core.Rng
 import repro.embed.Box
 
@@ -60,24 +59,4 @@ object ImageCorpus {
   /** All image metadata at a scale factor, driver-side (small at our SFs). */
   def metasLocal(spec: DatasetSpec, sf: Double): IndexedSeq[ImageMeta] =
     (0L until spec.imagesAt(sf).toLong).map(imageMeta(spec, _))
-
-  /** Flat ground-truth boxes: (img_id, obj_idx, cat, mode, x0, y0, x1, y1). */
-  def groundTruthBoxes(spark: SparkSession, spec: DatasetSpec, sf: Double): DataFrame = {
-    import spark.implicits._
-    val n = spec.imagesAt(sf).toLong
-    spark.range(n)
-      .flatMap { id =>
-        imageMeta(spec, id).objects.zipWithIndex.map { case (o, i) =>
-          (id, i, o.cat, o.mode, o.x0, o.y0, o.x1, o.y1)
-        }
-      }
-      .toDF("img_id", "obj_idx", "cat", "mode", "x0", "y0", "x1", "y1")
-  }
-
-  /** Images relevant to a category (contain ≥1 instance of it). */
-  def relevantImages(spec: DatasetSpec, sf: Double, cat: Int): Set[Long] =
-    metasLocal(spec, sf).iterator
-      .filter(_.objects.exists(_.cat == cat))
-      .map(_.imgId)
-      .toSet
 }

@@ -21,9 +21,6 @@ import repro.core.Linalg
 final case class DbAlignMatrix(dim: Int, m: Array[Double]) extends Serializable {
   require(m.length == dim * dim, s"matrix length ${m.length} != $dim²")
 
-  /** Quadratic form w^T M_D w. */
-  def quadForm(w: Array[Double]): Double = Linalg.quadForm(m, dim, w)
-
   /** Gradient helper: M_D w (M_D is symmetric). */
   def matVec(w: Array[Double]): Array[Double] = Linalg.symMatVec(m, dim, w)
 }

@@ -50,8 +50,8 @@ final case class KnnGraph(
   }
 }
 
-/** kNN graph construction: brute force (reference) and NN-descent
-  * (Dong et al. 2011), the paper's scalable construction (§4.2).
+/** kNN graph construction by NN-descent (Dong et al. 2011), the paper's
+  * scalable construction (§4.2).
   */
 object KnnGraph {
 
@@ -66,23 +66,6 @@ object KnnGraph {
 
   def gaussianWeight(sqDist: Double, sigma: Double): Double =
     math.exp(-sqDist / (2.0 * sigma * sigma))
-
-  /** Exact kNN graph by exhaustive pairwise distances — O(n²d). */
-  def bruteForce(vecs: IndexedSeq[Array[Float]], k: Int, sigma: Double): KnnGraph = {
-    val n = vecs.length
-    require(k > 0 && k < n, s"need 0 < k < n, got k=$k n=$n")
-    val nb = new Array[Array[Int]](n)
-    val wt = new Array[Array[Double]](n)
-    var i = 0
-    while (i < n) {
-      val d2 = Array.tabulate(n)(j => if (j == i) Double.MaxValue else Linalg.sqDist(vecs(i), vecs(j)))
-      val idx = d2.zipWithIndex.sortBy(_._1).take(k).map(_._2)
-      nb(i) = idx
-      wt(i) = idx.map(j => gaussianWeight(d2(j), sigma))
-      i += 1
-    }
-    KnnGraph(k, sigma, nb, wt)
-  }
 
   /** NN-descent: iteratively refine random neighbor lists by local joins
     * (each node tries its neighbors' neighbors). Converges to a
@@ -221,19 +204,5 @@ object KnnGraph {
       i += 1
     }
     KnnGraph(k, sigma, outNb, outWt)
-  }
-
-  /** Recall of `approx` against an exact graph (fraction of true neighbors found). */
-  def recallAgainst(approx: KnnGraph, exact: KnnGraph): Double = {
-    require(approx.n == exact.n, "graph size mismatch")
-    var hit = 0L; var total = 0L
-    var i = 0
-    while (i < exact.n) {
-      val truth = exact.neighbors(i).toSet
-      hit += approx.neighbors(i).count(truth.contains)
-      total += truth.size
-      i += 1
-    }
-    hit.toDouble / total
   }
 }

@@ -12,15 +12,18 @@ import repro.embed.PatchRecord
   * distributed, and each lookup is one Spark job. At construction the table
   * is hash-partitioned by image into one partition per task slot
   * (`defaultParallelism`), so no image spans two partitions, and each
-  * partition becomes a one-chunk `LocalVectorStore`, cached in memory. A
-  * lookup runs the local store's scan in every partition and collects each
-  * partition's top-k; the driver merges them under the same (score desc,
-  * imgId asc) order the local store uses for its chunks. Every image is
-  * scored whole inside one partition, so any image of the global top-k is
-  * in its partition's top-k and the merge is exact; scores are the local
-  * store's, bit for bit. Used for correctness tests against the local
-  * store and for the Table 6 latency measurements, where per-iteration
-  * latency of the real dataflow is the quantity of interest.
+  * partition becomes a one-chunk `LocalVectorStore`. The RDD of partition
+  * stores is cached at `MEMORY_AND_DISK` and its lineage is cut once
+  * (`localCheckpoint`), so a lookup job has one stage and no parent to walk:
+  * it is one `runJob` over the cached partition stores, whose tasks run the
+  * local store's scan and return each partition's top-k. The driver merges
+  * them under the same (score desc, imgId asc) order the local store uses
+  * for its chunks. Every image is scored whole inside one partition, so any
+  * image of the global top-k is in its partition's top-k and the merge is
+  * exact; scores are the local store's, bit for bit. Used for correctness
+  * tests against the local store and for the Table 6 latency measurements,
+  * where per-iteration latency of the real dataflow is the quantity of
+  * interest.
   *
   * @param df patch-vector table with columns (img_id, patch_id, vec); it is
   *           read once here and not kept cached
@@ -41,9 +44,13 @@ final class SparkVectorStore(spark: SparkSession, df: DataFrame, val dim: Int) e
       val records = rows.map { case (img, (patch, vec)) => PatchRecord(img, patch, 0, 0, 0, 0, vec) }.toIndexedSeq
       if (records.isEmpty) Iterator.empty else Iterator(LocalVectorStore.withProcessors(records, 1))
     }
-    .persist(StorageLevel.MEMORY_ONLY)
+    .persist(StorageLevel.MEMORY_AND_DISK)
+    // Cut the lineage: later jobs read the cached blocks and never walk the
+    // shuffle back to the DataFrame.
+    .localCheckpoint()
 
-  // (vectors, images, dim) of each partition's store; this job fills the cache.
+  // (vectors, images, dim) of each partition's store; this job fills the
+  // cache and materializes the checkpoint.
   private val partStats: Array[(Long, Long, Int)] = parts.map(s => (s.nVectors, s.nImages, s.dim)).collect()
   partStats.foreach { case (_, _, d) => require(d == dim, s"patch vector dim $d != store dim $dim") }
   override val nVectors: Long = partStats.map(_._1).sum
@@ -52,12 +59,16 @@ final class SparkVectorStore(spark: SparkSession, df: DataFrame, val dim: Int) e
   override def topImages(q: Array[Float], k: Int, exclude: Set[Long]): IndexedSeq[ImageHit] = {
     require(q.length == dim, s"query dim ${q.length} != store dim $dim")
     require(k > 0, "k must be positive")
-    parts.map(_.topImages(q, k, exclude).toArray).collect()
+    val scan = (stores: Iterator[LocalVectorStore]) => stores.flatMap(_.topImages(q, k, exclude)).toArray
+    parts.sparkContext.runJob(parts, scan)
       .flatten.sorted(LocalVectorStore.BestFirst).take(k).toIndexedSeq
   }
 
-  /** Release the cached partition stores. */
-  def unpersist(): Unit = parts.unpersist()
+  /** Release the cached partition stores. The store is unusable afterwards:
+    * the lineage was cut at build, so a later lookup throws a
+    * `SparkException` instead of rebuilding the table.
+    */
+  def unpersist(): Unit = parts.unpersist(blocking = true)
 }
 
 object SparkVectorStore {

@@ -1,0 +1,76 @@
+package repro
+
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import repro.core.Linalg
+import repro.data.{DatasetSpec, ImageCorpus}
+import repro.graph.{DbAlignMatrix, KnnGraph}
+
+/** Reference computations that only the tests use: the exact kNN graph,
+  * ground truth read straight from the image metadata, and plain linear
+  * algebra the program never needs.
+  */
+object Reference {
+
+  /** Exact kNN graph by exhaustive pairwise distances — O(n²d). */
+  def knnBruteForce(vecs: IndexedSeq[Array[Float]], k: Int, sigma: Double): KnnGraph = {
+    val n = vecs.length
+    require(k > 0 && k < n, s"need 0 < k < n, got k=$k n=$n")
+    val nb = new Array[Array[Int]](n)
+    val wt = new Array[Array[Double]](n)
+    var i = 0
+    while (i < n) {
+      val d2 = Array.tabulate(n)(j => if (j == i) Double.MaxValue else Linalg.sqDist(vecs(i), vecs(j)))
+      val idx = d2.zipWithIndex.sortBy(_._1).take(k).map(_._2)
+      nb(i) = idx
+      wt(i) = idx.map(j => KnnGraph.gaussianWeight(d2(j), sigma))
+      i += 1
+    }
+    KnnGraph(k, sigma, nb, wt)
+  }
+
+  /** Recall of `approx` against an exact graph (fraction of true neighbors found). */
+  def recallAgainst(approx: KnnGraph, exact: KnnGraph): Double = {
+    require(approx.n == exact.n, "graph size mismatch")
+    var hit = 0L; var total = 0L
+    var i = 0
+    while (i < exact.n) {
+      val truth = exact.neighbors(i).toSet
+      hit += approx.neighbors(i).count(truth.contains)
+      total += truth.size
+      i += 1
+    }
+    hit.toDouble / total
+  }
+
+  /** Flat ground-truth boxes: (img_id, obj_idx, cat, mode, x0, y0, x1, y1). */
+  def groundTruthBoxes(spark: SparkSession, spec: DatasetSpec, sf: Double): DataFrame = {
+    import spark.implicits._
+    val n = spec.imagesAt(sf).toLong
+    spark.range(n)
+      .flatMap { id =>
+        ImageCorpus.imageMeta(spec, id).objects.zipWithIndex.map { case (o, i) =>
+          (id, i, o.cat, o.mode, o.x0, o.y0, o.x1, o.y1)
+        }
+      }
+      .toDF("img_id", "obj_idx", "cat", "mode", "x0", "y0", "x1", "y1")
+  }
+
+  /** Images relevant to a category (contain ≥1 instance of it). */
+  def relevantImages(spec: DatasetSpec, sf: Double, cat: Int): Set[Long] =
+    ImageCorpus.metasLocal(spec, sf).iterator
+      .filter(_.objects.exists(_.cat == cat))
+      .map(_.imgId)
+      .toSet
+
+  def cosine(a: Array[Float], b: Array[Float]): Double = {
+    val na = Linalg.norm(a); val nb = Linalg.norm(b)
+    if (na < 1e-12 || nb < 1e-12) 0.0 else Linalg.dot(a, b) / (na * nb)
+  }
+
+  /** Quadratic form x^T M x for row-major d×d M. */
+  def quadForm(m: Array[Double], d: Int, x: Array[Double]): Double =
+    Linalg.dotDD(Linalg.symMatVec(m, d, x), x)
+
+  /** Quadratic form w^T M_D w. */
+  def quadForm(mD: DbAlignMatrix, w: Array[Double]): Double = quadForm(mD.m, mD.dim, w)
+}

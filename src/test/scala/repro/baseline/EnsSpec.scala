@@ -1,6 +1,7 @@
 package repro.baseline
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.Reference
 import repro.core.{Linalg, Rng}
 import repro.graph.KnnGraph
 
@@ -63,7 +64,7 @@ class EnsSpec extends AnyFunSuite {
 
   test("labeled nodes are never selected") {
     val vecs = clusterVecs(10, 1)
-    val g = KnnGraph.bruteForce(vecs, k = 3, sigma = 0.5)
+    val g = Reference.knnBruteForce(vecs, k = 3, sigma = 0.5)
     val ens = new Ens(g, Array.fill(g.n)(0.5))
     var labeled = Map.empty[Int, Boolean]
     for (_ <- 0 until 10) {
@@ -132,7 +133,7 @@ class EnsSpec extends AnyFunSuite {
 
   test("selection is deterministic") {
     val vecs = clusterVecs(15, 2)
-    val g = KnnGraph.bruteForce(vecs, k = 4, sigma = 0.5)
+    val g = Reference.knnBruteForce(vecs, k = 4, sigma = 0.5)
     val prior = vecs.indices.map(i => 0.1 + 0.02 * (i % 7)).toArray
     val ens = new Ens(g, prior)
     val labeled = Map(0 -> true, 20 -> false)

@@ -1,6 +1,7 @@
 package repro.baseline
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.Reference
 import repro.core.{Example, Linalg, Rng}
 
 class RocchioSpec extends AnyFunSuite {
@@ -29,7 +30,7 @@ class RocchioSpec extends AnyFunSuite {
   test("no feedback returns normalized alpha*q0 = q0 direction") {
     val q0 = unit(3)
     val q = Rocchio.update(q0, IndexedSeq.empty)
-    assert(Linalg.cosine(q, q0) > 0.999999)
+    assert(Reference.cosine(q, q0) > 0.999999)
   }
 
   test("only positives moves toward their mean") {
@@ -41,7 +42,7 @@ class RocchioSpec extends AnyFunSuite {
     }
     val q0 = unit(6)
     val q = Rocchio.update(q0, ex)
-    assert(Linalg.cosine(q, target) > Linalg.cosine(q0, target))
+    assert(Reference.cosine(q, target) > Reference.cosine(q0, target))
   }
 
   test("only negatives moves away from their mean") {
@@ -49,7 +50,7 @@ class RocchioSpec extends AnyFunSuite {
     val ex = (0 until 5).map(_ => Example(bad, positive = false))
     val q0 = unit(8)
     val q = Rocchio.update(q0, ex)
-    assert(Linalg.cosine(q, bad) < Linalg.cosine(q0, bad))
+    assert(Reference.cosine(q, bad) < Reference.cosine(q0, bad))
   }
 
   test("update is deterministic") {

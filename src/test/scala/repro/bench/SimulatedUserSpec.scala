@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.TestData
+import repro.{Reference, TestData}
 import repro.data.ImageCorpus
 import repro.embed.ClipSim
 
@@ -36,13 +36,13 @@ class SimulatedUserSpec extends AnyFunSuite {
 
   test("totalRelevant counts images, not instances") {
     for (cat <- 0 until spec.nCats) {
-      val expected = ImageCorpus.relevantImages(spec, sf, cat).size
+      val expected = Reference.relevantImages(spec, sf, cat).size
       assert(user.totalRelevant(cat) == expected, s"cat $cat")
     }
   }
 
   test("queryCategories are exactly the categories with relevant images") {
-    val expected = (0 until spec.nCats).filter(ImageCorpus.relevantImages(spec, sf, _).nonEmpty)
+    val expected = (0 until spec.nCats).filter(Reference.relevantImages(spec, sf, _).nonEmpty)
     assert(user.queryCategories == expected)
   }
 

@@ -1,7 +1,8 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.graph.{DbAlign, KnnGraph}
+import repro.Reference
+import repro.graph.DbAlign
 
 class QueryAlignerSpec extends AnyFunSuite {
 
@@ -22,7 +23,7 @@ class QueryAlignerSpec extends AnyFunSuite {
     val q0 = Rng.gaussianVector(1L, Dim) // unnormalized on purpose
     val out = QueryAligner.align(q0, IndexedSeq.empty, AlignerConfig.SeeSaw)
     assert(math.abs(Linalg.norm(out) - 1.0) < 1e-6)
-    assert(Linalg.cosine(out, q0) > 0.999999)
+    assert(Reference.cosine(out, q0) > 0.999999)
   }
 
   test("result is always unit norm") {
@@ -41,8 +42,8 @@ class QueryAlignerSpec extends AnyFunSuite {
     val ex = cluster(pos, 10, 0.2, 13).map(Example(_, positive = true)) ++
       cluster(neg, 10, 0.2, 14).map(Example(_, positive = false))
     val w = QueryAligner.align(unit(15), ex, AlignerConfig.FewShot)
-    assert(Linalg.cosine(w, pos) > Linalg.cosine(w, neg))
-    assert(Linalg.cosine(w, pos) > 0.3)
+    assert(Reference.cosine(w, pos) > Reference.cosine(w, neg))
+    assert(Reference.cosine(w, pos) > 0.3)
   }
 
   test("large λ_c keeps the query near q0 even with contradictory feedback") {
@@ -51,7 +52,7 @@ class QueryAlignerSpec extends AnyFunSuite {
     val ex = cluster(other, 8, 0.1, 23).map(Example(_, positive = true))
     val heavy = AlignerConfig(lambda = 1.0, lambdaC = 1e5, lambdaD = 0.0)
     val w = QueryAligner.align(q0, ex, heavy)
-    assert(Linalg.cosine(w, q0) > 0.99, s"cos=${Linalg.cosine(w, q0)}")
+    assert(Reference.cosine(w, q0) > 0.99, s"cos=${Reference.cosine(w, q0)}")
   }
 
   test("λ_c = 0 with strong feedback moves fully to the data") {
@@ -60,7 +61,7 @@ class QueryAlignerSpec extends AnyFunSuite {
     val ex = cluster(target, 20, 0.05, 33).map(Example(_, positive = true)) ++
       cluster(q0, 20, 0.05, 34).map(Example(_, positive = false))
     val w = QueryAligner.align(q0, ex, AlignerConfig.FewShot)
-    assert(Linalg.cosine(w, target) > Linalg.cosine(w, q0))
+    assert(Reference.cosine(w, target) > Reference.cosine(w, q0))
   }
 
   test("CLIP alignment interpolates between q0 and the feedback direction") {
@@ -70,7 +71,7 @@ class QueryAlignerSpec extends AnyFunSuite {
     val few = QueryAligner.align(q0, ex, AlignerConfig.FewShot)
     val balanced = QueryAligner.align(q0, ex, AlignerConfig(lambda = 100, lambdaC = 10, lambdaD = 0))
     // Balanced stays closer to q0 than pure few-shot does.
-    assert(Linalg.cosine(balanced, q0) > Linalg.cosine(few, q0) - 1e-9)
+    assert(Reference.cosine(balanced, q0) > Reference.cosine(few, q0) - 1e-9)
   }
 
   test("more feedback outweighs the CLIP prior progressively") {
@@ -80,7 +81,7 @@ class QueryAlignerSpec extends AnyFunSuite {
     val cosines = Seq(2, 8, 32).map { n =>
       val ex = cluster(target, n, 0.1, 53).map(Example(_, positive = true)) ++
         cluster(unit(54), n, 0.1, 55).map(Example(_, positive = false))
-      Linalg.cosine(QueryAligner.align(q0, ex, cfg), target)
+      Reference.cosine(QueryAligner.align(q0, ex, cfg), target)
     }
     assert(cosines(2) > cosines(0), s"cosines $cosines")
   }
@@ -91,7 +92,7 @@ class QueryAlignerSpec extends AnyFunSuite {
     val dbCluster = cluster(c1, 30, 0.15, 62)
     val dbNoise = (0 until 30).map(i => unit(Rng.key(63, i)))
     val db = dbCluster ++ dbNoise
-    val graph = KnnGraph.bruteForce(db, k = 5, sigma = 0.5)
+    val graph = Reference.knnBruteForce(db, k = 5, sigma = 0.5)
     val mD = DbAlign.fromGraphLocal(graph, db)
 
     val q0 = unit(64)
@@ -100,14 +101,14 @@ class QueryAlignerSpec extends AnyFunSuite {
     val without = QueryAligner.align(q0, ex, AlignerConfig(lambda = 100, lambdaC = 10, lambdaD = 0))
     val withDb = QueryAligner.align(q0, ex,
       AlignerConfig(lambda = 100, lambdaC = 10, lambdaD = 1000), Some(mD))
-    def penalty(w: Array[Float]): Double = mD.quadForm(Linalg.toDouble(w))
+    def penalty(w: Array[Float]): Double = Reference.quadForm(mD, Linalg.toDouble(w))
     // The extra term can only trade data/CLIP fit for smoothness: the
     // returned direction must have a no-larger Laplacian penalty…
     assert(penalty(withDb) <= penalty(without) + 1e-6,
       s"withDb=${penalty(withDb)} without=${penalty(without)}")
     // …while remaining a mild tilt, not a hijack of the query.
-    assert(Linalg.cosine(withDb, without) > 0.7,
-      s"cos=${Linalg.cosine(withDb, without)}")
+    assert(Reference.cosine(withDb, without) > 0.7,
+      s"cos=${Reference.cosine(withDb, without)}")
   }
 
   test("aligner is deterministic") {

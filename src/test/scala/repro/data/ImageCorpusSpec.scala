@@ -1,7 +1,7 @@
 package repro.data
 
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec, TestData}
+import repro.{Oracle, Reference, SparkSpec, TestData}
 
 class ImageCorpusSpec extends SparkSpec {
 
@@ -82,13 +82,13 @@ class ImageCorpusSpec extends SparkSpec {
   }
 
   test("groundTruthBoxes flattens every object exactly once") {
-    val df = ImageCorpus.groundTruthBoxes(spark, spec, TestData.OracleSf)
+    val df = Reference.groundTruthBoxes(spark, spec, TestData.OracleSf)
     val local = ImageCorpus.metasLocal(spec, TestData.OracleSf)
     assert(df.count() == local.map(_.objects.size).sum)
   }
 
   test("oracle: per-category relevant-image counts match DuckDB") {
-    val gt = ImageCorpus.groundTruthBoxes(spark, spec, TestData.OracleSf)
+    val gt = Reference.groundTruthBoxes(spark, spec, TestData.OracleSf)
     val sparkCounts = gt.select("img_id", "cat").distinct()
       .groupBy("cat").agg(count(lit(1)).as("n_images"))
       .select(col("cat"), col("n_images"))
@@ -100,11 +100,11 @@ class ImageCorpusSpec extends SparkSpec {
   }
 
   test("relevantImages agrees with the ground-truth DataFrame") {
-    val gt = ImageCorpus.groundTruthBoxes(spark, spec, TestData.OracleSf)
+    val gt = Reference.groundTruthBoxes(spark, spec, TestData.OracleSf)
     val cat = 0
     val fromDf = gt.filter(col("cat") === cat).select("img_id").distinct()
       .collect().map(_.getLong(0)).toSet
-    assert(ImageCorpus.relevantImages(spec, TestData.OracleSf, cat) == fromDf)
+    assert(Reference.relevantImages(spec, TestData.OracleSf, cat) == fromDf)
   }
 
   test("every category has at least one instance at moderate scale") {

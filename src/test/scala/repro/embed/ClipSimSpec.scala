@@ -1,7 +1,7 @@
 package repro.embed
 
 import org.apache.spark.sql.functions._
-import repro.{Oracle, OracleTables, SparkSpec, TestData}
+import repro.{Oracle, OracleTables, Reference, SparkSpec, TestData}
 import repro.core.Linalg
 import repro.data.{DatasetSpec, ImageCorpus}
 
@@ -41,7 +41,7 @@ class ClipSimSpec extends SparkSpec {
       m.objects.indices.foreach { i =>
         val o = m.objects(i)
         val v = ClipSim.instanceVector(spec, m, i)
-        val cos = Linalg.cosine(v, cs.modeProto(o.cat, o.mode))
+        val cos = Reference.cosine(v, cs.modeProto(o.cat, o.mode))
         // instanceNoise=.3 → cos ≈ 1/sqrt(1+.09) ≈ .96
         assert(cos > 0.9, s"img $id obj $i cos $cos")
       }

@@ -2,7 +2,7 @@ package repro.embed
 
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
 import org.scalatest.funsuite.AnyFunSuite
-import repro.TestData
+import repro.{Reference, TestData}
 import repro.core.Linalg
 import repro.data.{DatasetSpec, ImageCorpus}
 import repro.store.LocalVectorStore
@@ -41,7 +41,7 @@ class ConceptSpaceSpec extends AnyFunSuite {
   test("distinct categories have near-orthogonal prototypes in high dim") {
     val cs = space()
     val cosines = for (a <- 0 until 10; b <- (a + 1) until 10)
-      yield math.abs(Linalg.cosine(cs.catProto(a), cs.catProto(b)))
+      yield math.abs(Reference.cosine(cs.catProto(a), cs.catProto(b)))
     assert(cosines.max < 0.5, s"max |cos| ${cosines.max}")
   }
 
@@ -55,7 +55,7 @@ class ConceptSpaceSpec extends AnyFunSuite {
     for (k <- 0 until cs.nCats) {
       val delta = cs.alignmentDeficit(k)
       val expected = 1.0 / math.sqrt(1.0 + delta * delta)
-      val got = Linalg.cosine(cs.textEmbedding(k), cs.catProto(k))
+      val got = Reference.cosine(cs.textEmbedding(k), cs.catProto(k))
       assert(math.abs(got - expected) < 1e-4, s"cat $k: cos $got vs $expected (δ=$delta)")
     }
   }
@@ -107,7 +107,7 @@ class ConceptSpaceSpec extends AnyFunSuite {
   test("mode 1 prototype is far from mode 0 (locality deficit)") {
     val cs = space(splitFrac = 1.0)
     for (k <- 0 until 10) {
-      val cos = Linalg.cosine(cs.modeProto(k, 0), cs.modeProto(k, 1))
+      val cos = Reference.cosine(cs.modeProto(k, 0), cs.modeProto(k, 1))
       val expected = 1.0 / math.sqrt(1.0 + ConceptSpace.SplitDistance * ConceptSpace.SplitDistance)
       assert(math.abs(cos - expected) < 1e-4, s"cat $k cos $cos")
     }

@@ -1,6 +1,6 @@
 package repro.graph
 
-import repro.SparkSpec
+import repro.{Reference, SparkSpec}
 import repro.core.{Linalg, Rng}
 
 class DbAlignSpec extends SparkSpec {
@@ -22,7 +22,7 @@ class DbAlignSpec extends SparkSpec {
 
   test("matrix has the declared shape and is symmetric") {
     val vecs = randomVecs(60, 1)
-    val g = KnnGraph.bruteForce(vecs, k = 4, sigma = 0.5)
+    val g = Reference.knnBruteForce(vecs, k = 4, sigma = 0.5)
     val m = DbAlign.fromGraphLocal(g, vecs)
     assert(m.dim == Dim)
     for (r <- 0 until Dim; c <- 0 until Dim)
@@ -31,17 +31,17 @@ class DbAlignSpec extends SparkSpec {
 
   test("matrix is positive semidefinite (random quadratic forms ≥ 0)") {
     val vecs = randomVecs(60, 2)
-    val g = KnnGraph.bruteForce(vecs, k = 4, sigma = 0.5)
+    val g = Reference.knnBruteForce(vecs, k = 4, sigma = 0.5)
     val m = DbAlign.fromGraphLocal(g, vecs)
     for (s <- 0 until 50) {
       val w = Linalg.toDouble(Rng.gaussianVector(Rng.key(3, s), Dim))
-      assert(m.quadForm(w) >= -1e-9, s"seed $s: ${m.quadForm(w)}")
+      assert(Reference.quadForm(m, w) >= -1e-9, s"seed $s: ${Reference.quadForm(m, w)}")
     }
   }
 
   test("trace is normalized to dim × TraceScale") {
     val vecs = randomVecs(50, 4)
-    val g = KnnGraph.bruteForce(vecs, k = 4, sigma = 0.5)
+    val g = Reference.knnBruteForce(vecs, k = 4, sigma = 0.5)
     val m = DbAlign.fromGraphLocal(g, vecs)
     val tr = (0 until Dim).map(d => m.m(d * Dim + d)).sum
     assert(math.abs(tr - Dim * DbAlign.TraceScale) < 1e-9)
@@ -49,7 +49,7 @@ class DbAlignSpec extends SparkSpec {
 
   test("quadratic form equals the explicit Laplacian edge sum") {
     val vecs = randomVecs(40, 5)
-    val g = KnnGraph.bruteForce(vecs, k = 3, sigma = 0.5)
+    val g = Reference.knnBruteForce(vecs, k = 3, sigma = 0.5)
     // Unnormalized reference: Σ_sym w_ij ((x_i − x_j)·w)².
     val w = Linalg.toDouble(Rng.gaussianVector(77L, Dim))
     var ref = 0.0
@@ -68,20 +68,20 @@ class DbAlignSpec extends SparkSpec {
     }
     val trRaw = (0 until Dim).map(d => raw(d * Dim + d)).sum
     val m = DbAlign.fromGraphLocal(g, vecs)
-    assert(math.abs(m.quadForm(w) - ref * (Dim * DbAlign.TraceScale / trRaw)) < 1e-9 * math.max(1, ref))
+    assert(math.abs(Reference.quadForm(m, w) - ref * (Dim * DbAlign.TraceScale / trRaw)) < 1e-9 * math.max(1, ref))
   }
 
   test("matVec agrees with quadForm") {
     val vecs = randomVecs(30, 6)
-    val g = KnnGraph.bruteForce(vecs, k = 3, sigma = 0.5)
+    val g = Reference.knnBruteForce(vecs, k = 3, sigma = 0.5)
     val m = DbAlign.fromGraphLocal(g, vecs)
     val w = Linalg.toDouble(Rng.gaussianVector(88L, Dim))
-    assert(math.abs(Linalg.dotDD(m.matVec(w), w) - m.quadForm(w)) < 1e-12)
+    assert(math.abs(Linalg.dotDD(m.matVec(w), w) - Reference.quadForm(m, w)) < 1e-12)
   }
 
   test("Spark construction equals local construction") {
     val vecs = randomVecs(80, 7)
-    val g = KnnGraph.bruteForce(vecs, k = 5, sigma = 0.5)
+    val g = Reference.knnBruteForce(vecs, k = 5, sigma = 0.5)
     val local = DbAlign.fromGraphLocal(g, vecs)
     val viaSpark = DbAlign.fromGraphSpark(spark, g, vecs)
     for (i <- local.m.indices)
@@ -93,7 +93,7 @@ class DbAlignSpec extends SparkSpec {
     // along the cluster axis varies little across edges, orthogonal noise
     // directions vary a lot — so the quadratic form should prefer the axis.
     val vecs = clusteredVecs(40, 8)
-    val g = KnnGraph.bruteForce(vecs, k = 5, sigma = 0.5)
+    val g = Reference.knnBruteForce(vecs, k = 5, sigma = 0.5)
     val m = DbAlign.fromGraphLocal(g, vecs)
     val axis = Linalg.toDouble(vecs.take(40).reduce { (a, b) =>
       val s = a.clone(); Linalg.axpy(1.0, b, s); s
@@ -101,9 +101,9 @@ class DbAlignSpec extends SparkSpec {
     val axisN = Linalg.normalizeD(axis)
     val penalties = (0 until 20).map { s =>
       val noise = Linalg.normalizeD(Linalg.toDouble(Rng.gaussianVector(Rng.key(99, s), Dim)))
-      m.quadForm(noise)
+      Reference.quadForm(m, noise)
     }
-    val axisPenalty = m.quadForm(axisN)
+    val axisPenalty = Reference.quadForm(m, axisN)
     val meanNoise = penalties.sum / penalties.size
     assert(axisPenalty < meanNoise, s"axis $axisPenalty vs noise mean $meanNoise")
   }
@@ -111,7 +111,7 @@ class DbAlignSpec extends SparkSpec {
   test("invalid shapes are rejected") {
     assertThrows[IllegalArgumentException](DbAlignMatrix(3, new Array[Double](5)))
     val vecs = randomVecs(10, 9)
-    val g = KnnGraph.bruteForce(vecs, k = 2, sigma = 0.5)
+    val g = Reference.knnBruteForce(vecs, k = 2, sigma = 0.5)
     assertThrows[IllegalArgumentException](DbAlign.fromGraphLocal(g, vecs.take(5)))
   }
 }

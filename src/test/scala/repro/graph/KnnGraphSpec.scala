@@ -1,6 +1,7 @@
 package repro.graph
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.Reference
 import repro.core.{Linalg, Rng}
 
 class KnnGraphSpec extends AnyFunSuite {
@@ -31,7 +32,7 @@ class KnnGraphSpec extends AnyFunSuite {
     val vecs = (0 until 10).map { i =>
       val v = new Array[Float](4); v(0) = i.toFloat; v
     }
-    val g = KnnGraph.bruteForce(vecs, k = 2, sigma = 1.0)
+    val g = Reference.knnBruteForce(vecs, k = 2, sigma = 1.0)
     assert(g.neighbors(0).toSet == Set(1, 2))
     assert(g.neighbors(5).toSet == Set(4, 6))
     assert(g.neighbors(9).toSet == Set(8, 7))
@@ -39,7 +40,7 @@ class KnnGraphSpec extends AnyFunSuite {
 
   test("brute force neighbor lists are sorted by distance") {
     val vecs = randomVecs(40, 8, 1)
-    val g = KnnGraph.bruteForce(vecs, k = 5, sigma = 0.5)
+    val g = Reference.knnBruteForce(vecs, k = 5, sigma = 0.5)
     for (i <- vecs.indices) {
       val dists = g.neighbors(i).map(j => Linalg.sqDist(vecs(i), vecs(j)))
       assert(dists.sorted.sameElements(dists), s"node $i: ${dists.toSeq}")
@@ -49,23 +50,23 @@ class KnnGraphSpec extends AnyFunSuite {
   }
 
   test("brute force never lists a node as its own neighbor") {
-    val g = KnnGraph.bruteForce(randomVecs(30, 8, 2), k = 4, sigma = 0.5)
+    val g = Reference.knnBruteForce(randomVecs(30, 8, 2), k = 4, sigma = 0.5)
     for (i <- 0 until 30) assert(!g.neighbors(i).contains(i))
   }
 
   test("nn-descent achieves high recall vs brute force on random data") {
     val vecs = randomVecs(300, 16, 3)
-    val exact = KnnGraph.bruteForce(vecs, k = 10, sigma = 0.5)
+    val exact = Reference.knnBruteForce(vecs, k = 10, sigma = 0.5)
     val approx = KnnGraph.nnDescent(vecs, k = 10, sigma = 0.5)
-    val recall = KnnGraph.recallAgainst(approx, exact)
+    val recall = Reference.recallAgainst(approx, exact)
     assert(recall > 0.90, s"recall $recall")
   }
 
   test("nn-descent achieves high recall on clustered data") {
     val vecs = clustered(150, 16, 4)
-    val exact = KnnGraph.bruteForce(vecs, k = 8, sigma = 0.5)
+    val exact = Reference.knnBruteForce(vecs, k = 8, sigma = 0.5)
     val approx = KnnGraph.nnDescent(vecs, k = 8, sigma = 0.5)
-    val recall = KnnGraph.recallAgainst(approx, exact)
+    val recall = Reference.recallAgainst(approx, exact)
     assert(recall > 0.90, s"recall $recall")
   }
 
@@ -98,7 +99,7 @@ class KnnGraphSpec extends AnyFunSuite {
 
   test("symEdges contains each unordered pair once with symmetric weight") {
     val vecs = randomVecs(50, 8, 8)
-    val g = KnnGraph.bruteForce(vecs, k = 4, sigma = 0.5)
+    val g = Reference.knnBruteForce(vecs, k = 4, sigma = 0.5)
     val edges = g.symEdges.toSeq
     val pairs = edges.map { case (a, b, _) => (a, b) }
     assert(pairs.distinct.size == pairs.size)
@@ -113,13 +114,13 @@ class KnnGraphSpec extends AnyFunSuite {
 
   test("recallAgainst of a graph with itself is 1") {
     val vecs = randomVecs(30, 8, 10)
-    val g = KnnGraph.bruteForce(vecs, k = 4, sigma = 0.5)
-    assert(KnnGraph.recallAgainst(g, g) == 1.0)
+    val g = Reference.knnBruteForce(vecs, k = 4, sigma = 0.5)
+    assert(Reference.recallAgainst(g, g) == 1.0)
   }
 
   test("k bounds are validated") {
     val vecs = randomVecs(5, 4, 11)
-    assertThrows[IllegalArgumentException](KnnGraph.bruteForce(vecs, k = 5, sigma = 0.5))
+    assertThrows[IllegalArgumentException](Reference.knnBruteForce(vecs, k = 5, sigma = 0.5))
     assertThrows[IllegalArgumentException](KnnGraph.nnDescent(vecs, k = 0, sigma = 0.5))
   }
 }

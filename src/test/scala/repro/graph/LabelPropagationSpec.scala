@@ -1,6 +1,7 @@
 package repro.graph
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.Reference
 import repro.core.{Linalg, Rng}
 
 class LabelPropagationSpec extends AnyFunSuite {
@@ -16,7 +17,7 @@ class LabelPropagationSpec extends AnyFunSuite {
       Linalg.axpy(0.15, Linalg.normalize(Rng.gaussianVector(Rng.key(seed, i), dim)), v)
       Linalg.normalize(v)
     }
-    (vecs, KnnGraph.bruteForce(vecs, k = 5, sigma = 0.5))
+    (vecs, Reference.knnBruteForce(vecs, k = 5, sigma = 0.5))
   }
 
   test("labels propagate within clusters") {

@@ -1,7 +1,7 @@
 package repro.integration
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.TestData
+import repro.{Reference, TestData}
 import repro.core._
 import repro.data.ImageCorpus
 import repro.embed.ClipSim
@@ -35,13 +35,13 @@ class IdealVectorSpec extends AnyFunSuite {
   }
 
   private def apOf(q: Array[Float], cat: Int): Double = {
-    val relevant = ImageCorpus.relevantImages(spec, sf, cat)
+    val relevant = Reference.relevantImages(spec, sf, cat)
     val ranked = store.topImages(q, metas.size)
     Metrics.averagePrecision(ranked.map(h => relevant.contains(h.imgId)), relevant.size.toLong)
   }
 
   private lazy val cats = (0 until spec.nCats)
-    .filter(c => ImageCorpus.relevantImages(spec, sf, c).size >= 3)
+    .filter(c => Reference.relevantImages(spec, sf, c).size >= 3)
 
   test("ideal vectors beat the initial text query on average (Fig. 4 above-diagonal)") {
     val pairs = cats.map { c =>

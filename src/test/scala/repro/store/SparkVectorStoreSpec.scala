@@ -1,5 +1,9 @@
 package repro.store
 
+import java.util.concurrent.atomic.AtomicLong
+
+import org.apache.spark.SparkException
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
 import org.apache.spark.sql.functions._
 import repro.{Oracle, OracleTables, SparkSpec, TestData}
 import repro.core.{Linalg, Rng}
@@ -126,6 +130,36 @@ class SparkVectorStoreSpec extends SparkSpec {
     )
   }
 
+  test("a lookup is one job of one stage with one task per partition") {
+    val q = Linalg.normalize(Rng.gaussianVector(9L, spec.dim))
+    sparkStore.topImages(q, 1) // build the store before counting
+    val counter = new JobCounter
+    spark.sparkContext.addSparkListener(counter)
+    val calls = 3
+    // Counted from a settled start, so late events of earlier jobs are not.
+    val ((jobs0, stages0, tasks0), (jobs1, stages1, tasks1)) =
+      try {
+        val start = counter.settled()
+        for (_ <- 0 until calls) sparkStore.topImages(q, 1, exclude = Set(0L, 1L))
+        (start, counter.settled())
+      } finally spark.sparkContext.removeSparkListener(counter)
+    assert(jobs1 - jobs0 == calls)
+    // A lookup job that still walked the build's shuffle would list a
+    // second (skipped) stage.
+    assert(stages1 - stages0 == calls)
+    assert(tasks1 - tasks0 == calls * spark.sparkContext.defaultParallelism)
+  }
+
+  test("a lookup after unpersist fails loudly instead of rebuilding") {
+    val store = SparkVectorStore.fromDataFrame(
+      spark, ClipSim.patchVectors(spark, spec, sf, multiscale = true), spec.dim)
+    val q = Linalg.normalize(Rng.gaussianVector(11L, spec.dim))
+    assert(store.topImages(q, 2) == local.topImages(q, 2))
+    store.unpersist()
+    val e = intercept[SparkException](store.topImages(q, 2))
+    assert(e.getMessage.contains("CHECKPOINT_RDD_BLOCK_ID_NOT_FOUND"), e.getMessage)
+  }
+
   test("k must be positive") {
     val q = Linalg.normalize(Rng.gaussianVector(2L, spec.dim))
     assertThrows[IllegalArgumentException](sparkStore.topImages(q, 0))
@@ -134,5 +168,33 @@ class SparkVectorStoreSpec extends SparkSpec {
 
   test("query dimension mismatch is rejected") {
     assertThrows[IllegalArgumentException](sparkStore.topImages(new Array[Float](7), 1))
+  }
+}
+
+/** Counts Spark jobs, the stages each job lists and finished tasks;
+  * listener events arrive asynchronously.
+  */
+private final class JobCounter extends SparkListener {
+  private val jobs = new AtomicLong
+  private val stages = new AtomicLong
+  private val tasks = new AtomicLong
+  override def onJobStart(e: SparkListenerJobStart): Unit = {
+    jobs.incrementAndGet()
+    stages.addAndGet(e.stageInfos.size.toLong)
+  }
+  override def onTaskEnd(e: SparkListenerTaskEnd): Unit = tasks.incrementAndGet()
+
+  private def now = (jobs.get, stages.get, tasks.get)
+
+  /** (jobs, stages, tasks) once no event has arrived for 100 ms. */
+  def settled(): (Long, Long, Long) = {
+    var last = (-1L, -1L, -1L)
+    var current = now
+    var waited = 0
+    while (current != last && waited < 50) {
+      Thread.sleep(100); waited += 1
+      last = current; current = now
+    }
+    current
   }
 }
