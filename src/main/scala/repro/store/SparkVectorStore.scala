@@ -59,6 +59,7 @@ final class SparkVectorStore(spark: SparkSession, df: DataFrame, val dim: Int) e
   override def topImages(q: Array[Float], k: Int, exclude: Set[Long]): IndexedSeq[ImageHit] = {
     require(q.length == dim, s"query dim ${q.length} != store dim $dim")
     require(k > 0, "k must be positive")
+    require(q.forall(v => !v.isNaN && !v.isInfinite), "query has a non-finite component")
     val scan = (stores: Iterator[LocalVectorStore]) => stores.flatMap(_.topImages(q, k, exclude)).toArray
     parts.sparkContext.runJob(parts, scan)
       .flatten.sorted(LocalVectorStore.BestFirst).take(k).toIndexedSeq

@@ -3,13 +3,25 @@ package repro
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core.Linalg
 import repro.data.{DatasetSpec, ImageCorpus}
+import repro.embed.PatchRecord
 import repro.graph.{DbAlignMatrix, KnnGraph}
+import repro.store.ImageHit
 
-/** Reference computations that only the tests use: the exact kNN graph,
-  * ground truth read straight from the image metadata, and plain linear
-  * algebra the program never needs.
+/** Reference computations that only the tests use: the exact top-k images
+  * and kNN graph by brute force, ground truth read straight from the image
+  * metadata, and plain linear algebra the program never needs.
   */
 object Reference {
+
+  /** Exact top-k images by the store contract, scoring every row: an
+    * image's score is its largest `Linalg.dot` with `q` (the lowest patch id
+    * among equal scores), and images rank by (score desc, imgId asc).
+    */
+  def topImages(records: Seq[PatchRecord], q: Array[Float], k: Int, exclude: Set[Long]): IndexedSeq[ImageHit] =
+    records.filterNot(r => exclude.contains(r.imgId)).groupBy(_.imgId).values.map { rows =>
+      val scored = rows.map(r => ImageHit(r.imgId, r.patchId, Linalg.dot(r.vec, q)))
+      scored.minBy(h => (-h.score, h.patchId))
+    }.toIndexedSeq.sortBy(h => (-h.score, h.imgId)).take(k)
 
   /** Exact kNN graph by exhaustive pairwise distances — O(n²d). */
   def knnBruteForce(vecs: IndexedSeq[Array[Float]], k: Int, sigma: Double): KnnGraph = {

@@ -94,6 +94,14 @@ class LocalVectorStoreSpec extends AnyFunSuite {
     assertThrows[IllegalArgumentException](store.topImages(q, 0))
   }
 
+  test("a non-finite query is rejected") {
+    for (bad <- Seq(Float.NaN, Float.PositiveInfinity, Float.NegativeInfinity); s <- Seq(store, big)) {
+      val q = Linalg.normalize(Rng.gaussianVector(3L, s.dim))
+      q(5) = bad
+      assertThrows[IllegalArgumentException](s.topImages(q, 1))
+    }
+  }
+
   test("coarse store equals multiscale store restricted to patch 0") {
     val q = Linalg.normalize(Rng.gaussianVector(5L, spec.dim))
     val coarseHits = coarse.topImages(q, 10)

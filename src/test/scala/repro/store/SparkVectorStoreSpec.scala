@@ -169,6 +169,15 @@ class SparkVectorStoreSpec extends SparkSpec {
   test("query dimension mismatch is rejected") {
     assertThrows[IllegalArgumentException](sparkStore.topImages(new Array[Float](7), 1))
   }
+
+  test("a non-finite query is rejected before any Spark job runs") {
+    for (bad <- Seq(Float.NaN, Float.PositiveInfinity, Float.NegativeInfinity)) {
+      val q = Linalg.normalize(Rng.gaussianVector(3L, spec.dim))
+      q(5) = bad
+      // An IllegalArgumentException, not a SparkException from a failed task.
+      assertThrows[IllegalArgumentException](sparkStore.topImages(q, 1))
+    }
+  }
 }
 
 /** Counts Spark jobs, the stages each job lists and finished tasks;
