@@ -43,37 +43,74 @@ import repro.core.Linalg
   * unchanged exact kernel.
   */
 private[store] final class PrefixTable private (
-    dim: Int,
+    val dim: Int,
     val r: Int,
-    basis: Array[Double], // r × dim, row-major, orthonormal rows
-    scales: Array[Double], // s_j
+    val basis: Array[Double], // r × dim, row-major, orthonormal rows
+    val scales: Array[Double], // s_j
     codes: Array[Array[Byte]], // per block of `BlockRows` rows, row-major, r per row
     resid: Array[Byte], // ‖x − Pᵀy‖ per row, rounded up to a multiple of residStep, unsigned
-    residStep: Double,
-    maxNorm: Double, // X
+    val residStep: Double,
+    val maxNorm: Double, // X
 ) extends Serializable {
   import PrefixTable.{BlockRows, BlockShift, MaxWeight, Query, Slack}
 
-  /** The per-query constants of every row's bound. */
+  /** The per-query constants of every row's bound. The projections q'_j
+    * run four per pass, each summed in `t` order; then the residual takes
+    * their shares four per pass, each entry in `j` order. So every value
+    * is the one-at-a-time computation's bit for bit.
+    */
   def query(q: Array[Float]): Query = {
     val qp = new Array[Double](r)
-    val perp = Linalg.toDouble(q)
     var j = 0
+    while (j + 4 <= r) {
+      val o0 = j * dim; val o1 = o0 + dim; val o2 = o1 + dim; val o3 = o2 + dim
+      var s0 = 0.0; var s1 = 0.0; var s2 = 0.0; var s3 = 0.0
+      var t = 0
+      while (t < dim) {
+        val qt = q(t).toDouble
+        s0 += basis(o0 + t) * qt; s1 += basis(o1 + t) * qt; s2 += basis(o2 + t) * qt; s3 += basis(o3 + t) * qt
+        t += 1
+      }
+      qp(j) = s0; qp(j + 1) = s1; qp(j + 2) = s2; qp(j + 3) = s3
+      j += 4
+    }
     while (j < r) {
       val o = j * dim
       var s = 0.0; var t = 0
       while (t < dim) { s += basis(o + t) * q(t); t += 1 }
       qp(j) = s
-      t = 0
+      j += 1
+    }
+    val perp = Linalg.toDouble(q)
+    j = 0
+    while (j + 4 <= r) {
+      val o0 = j * dim; val o1 = o0 + dim; val o2 = o1 + dim; val o3 = o2 + dim
+      val s0 = qp(j); val s1 = qp(j + 1); val s2 = qp(j + 2); val s3 = qp(j + 3)
+      var t = 0
+      while (t < dim) {
+        perp(t) = perp(t) - s0 * basis(o0 + t) - s1 * basis(o1 + t) - s2 * basis(o2 + t) - s3 * basis(o3 + t)
+        t += 1
+      }
+      j += 4
+    }
+    while (j < r) {
+      val s = qp(j); val o = j * dim
+      var t = 0
       while (t < dim) { perp(t) -= s * basis(o + t); t += 1 }
       j += 1
     }
-    val w = Array.tabulate(r)(j => scales(j) * qp(j))
-    val step = w.foldLeft(0.0)((a, v) => math.max(a, math.abs(v))) / MaxWeight
-    val weights = w.map(v => if (step > 0) math.round(v / step).toInt else 0)
+    var maxW = 0.0
+    j = 0
+    while (j < r) { maxW = math.max(maxW, math.abs(scales(j) * qp(j))); j += 1 }
+    val step = maxW / MaxWeight
+    val weights = new Array[Int](r)
     var quant = 127.0 * r * step / 2
     j = 0
-    while (j < r) { quant += scales(j) / 2 * math.abs(qp(j)); j += 1 }
+    while (j < r) {
+      if (step > 0) weights(j) = math.round(scales(j) * qp(j) / step).toInt
+      quant += scales(j) / 2 * math.abs(qp(j))
+      j += 1
+    }
     new Query(weights, step, residStep * Linalg.normD(perp), quant + Slack * maxNorm * Linalg.norm(q))
   }
 

@@ -1,7 +1,7 @@
 package repro
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.core.Linalg
+import repro.core.{Example, Linalg, LossFunction}
 import repro.data.{DatasetSpec, ImageCorpus}
 import repro.embed.PatchRecord
 import repro.graph.{DbAlignMatrix, KnnGraph}
@@ -85,4 +85,75 @@ object Reference {
 
   /** Quadratic form w^T M_D w. */
   def quadForm(mD: DbAlignMatrix, w: Array[Double]): Double = quadForm(mD.m, mD.dim, w)
+
+  /** Row-major d×d matrix times a vector, one row at a time, each row
+    * summed in column order.
+    */
+  def symMatVec(m: Array[Double], d: Int, x: Array[Double]): Array[Double] =
+    Array.tabulate(d) { r =>
+      var s = 0.0; var c = 0
+      while (c < d) { s += m(r * d + c) * x(c); c += 1 }
+      s
+    }
+
+  /** The query-alignment loss and its gradient (`LossFunction`'s doc)
+    * computed one term at a time: each logit a single sum in index order,
+    * each example's loss and gradient added in example order, log(1+e^z)
+    * and σ(z) each from their own exp, then the penalties' terms one after
+    * another, M_D·w by `symMatVec` above.
+    */
+  def lossValueAndGradient(q0: Array[Float], examples: IndexedSeq[Example], lambda: Double, lambdaC: Double,
+      lambdaD: Double, mD: Option[DbAlignMatrix], w: Array[Double]): (Double, Array[Double]) = {
+    import LossFunction.FeatureScale
+    val dim = q0.length
+    val MinNorm = 1e-8
+    def dotDF(a: Array[Double], b: Array[Float]): Double = {
+      var s = 0.0; var i = 0
+      while (i < a.length) { s += a(i) * b(i); i += 1 }
+      s
+    }
+    def sigmoid(z: Double): Double =
+      if (z >= 0) 1.0 / (1.0 + math.exp(-z)) else { val e = math.exp(z); e / (1.0 + e) }
+    def log1pExp(z: Double): Double =
+      if (z > 0) z + math.log1p(math.exp(-z)) else math.log1p(math.exp(z))
+
+    var loss = 0.0
+    val grad = new Array[Double](dim)
+    var i = 0
+    while (i < examples.length) {
+      val ex = examples(i)
+      val z = FeatureScale * dotDF(w, ex.vec)
+      val y = if (ex.positive) 1.0 else 0.0
+      loss += log1pExp(z) - y * z
+      val coeff = (sigmoid(z) - y) * FeatureScale
+      var d = 0
+      while (d < dim) { grad(d) += coeff * ex.vec(d); d += 1 }
+      i += 1
+    }
+    val nw2 = math.max(Linalg.dotDD(w, w), MinNorm * MinNorm)
+    val nw = math.sqrt(nw2)
+    loss += lambda * nw2
+    Linalg.axpyD(2.0 * lambda, w, grad)
+    if (lambdaC > 0) {
+      val wq = dotDF(w, q0)
+      loss += lambdaC * (1.0 - wq / nw)
+      var d = 0
+      while (d < dim) {
+        grad(d) += -lambdaC * (q0(d) / nw - wq * w(d) / (nw2 * nw))
+        d += 1
+      }
+    }
+    if (lambdaD > 0) {
+      val mat = mD.get
+      val mw = symMatVec(mat.m, mat.dim, w)
+      val wmw = Linalg.dotDD(w, mw)
+      loss += lambdaD * wmw / nw2
+      var d = 0
+      while (d < dim) {
+        grad(d) += lambdaD * (2.0 * mw(d) / nw2 - 2.0 * wmw * w(d) / (nw2 * nw2))
+        d += 1
+      }
+    }
+    (loss, grad)
+  }
 }

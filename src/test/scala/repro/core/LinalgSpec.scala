@@ -21,10 +21,6 @@ class LinalgSpec extends AnyFunSuite {
     assertThrows[IllegalArgumentException](Linalg.dot(fv(1), fv(1, 2)))
   }
 
-  test("dotDF mixes double weights with float vectors") {
-    assert(math.abs(Linalg.dotDF(dv(0.5, 0.5), fv(2, 4)) - 3.0) < Eps)
-  }
-
   test("dotDD on doubles") {
     assert(Linalg.dotDD(dv(1, 1), dv(2, 3)) == 5.0)
   }
@@ -100,6 +96,16 @@ class LinalgSpec extends AnyFunSuite {
   test("symMatVec validates shapes") {
     assertThrows[IllegalArgumentException](Linalg.symMatVec(dv(1, 2, 3), 2, dv(1, 1)))
     assertThrows[IllegalArgumentException](Linalg.symMatVec(dv(1, 2, 3, 4), 2, dv(1)))
+  }
+
+  test("symMatVec equals the row-by-row sum bit for bit") {
+    for (d <- (1 to 17) :+ 128; s <- 0 until 3) {
+      val m = Linalg.toDouble(Rng.gaussianVector(Rng.key(12, d.toLong, s.toLong), d * d))
+      val x = Linalg.toDouble(Rng.gaussianVector(Rng.key(13, d.toLong, s.toLong), d)).map(_ * math.pow(10, 4 * s - 4))
+      val got = Linalg.symMatVec(m, d, x).map(java.lang.Double.doubleToRawLongBits)
+      val want = Reference.symMatVec(m, d, x).map(java.lang.Double.doubleToRawLongBits)
+      assert(got.sameElements(want), s"d $d seed $s")
+    }
   }
 
   test("quadForm computes x^T M x") {

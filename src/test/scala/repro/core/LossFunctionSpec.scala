@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.Reference
 import repro.graph.DbAlignMatrix
 
 class LossFunctionSpec extends AnyFunSuite {
@@ -128,6 +129,39 @@ class LossFunctionSpec extends AnyFunSuite {
   test("negative penalties are rejected") {
     assertThrows[IllegalArgumentException] {
       new LossFunction(unit(1), IndexedSeq.empty, -1.0, 0.0, 0.0, None)
+    }
+  }
+
+  test("value and gradient equal the one-term-at-a-time reference bit for bit") {
+    import java.lang.Double.doubleToRawLongBits
+    for (dim <- Seq(1, 3, 13, 64, 128)) {
+      def unitD(seed: Long): Array[Float] = Linalg.normalize(Rng.gaussianVector(seed, dim))
+      val mD = {
+        val m = new Array[Double](dim * dim)
+        for (i <- 0 until 5) Linalg.addOuter(m, dim, 1.0, Linalg.toDouble(Rng.gaussianVector(Rng.key(90, dim.toLong, i.toLong), dim)))
+        DbAlignMatrix(dim, Linalg.scale(dim * 1e-3 / (0 until dim).map(d => m(d * dim + d)).sum, m))
+      }
+      val q0 = unitD(Rng.key(91, dim.toLong))
+      // Random w, huge logits, every logit 0, and |w| about MinNorm.
+      val u = Linalg.toDouble(unitD(Rng.key(92, dim.toLong)))
+      val ws = Seq(Linalg.toDouble(Rng.gaussianVector(Rng.key(93, dim.toLong), dim)), u, Linalg.scale(1e6, u),
+        Linalg.scale(-1e6, u), new Array[Double](dim), Linalg.scale(1e-8, u), Linalg.scale(0.5e-8, u),
+        Linalg.scale(2e-8, u))
+      for (n <- 0 to 9) {
+        // Example 2 is the zero vector: its logit is 0 for every w.
+        val examples = (0 until n).map { i =>
+          val v = if (i == 2) new Array[Float](dim) else unitD(Rng.key(94, dim.toLong, i.toLong))
+          Example(v, Rng.uniform(Rng.key(95, dim.toLong, i.toLong)) < 0.5)
+        }
+        for (cfg <- Seq(AlignerConfig.FewShot, AlignerConfig.QueryAlign, AlignerConfig.SeeSaw); (w, wi) <- ws.zipWithIndex) {
+          val m = if (cfg.lambdaD > 0) Some(mD) else None
+          val (v, g) = new LossFunction(q0, examples, cfg.lambda, cfg.lambdaC, cfg.lambdaD, m).valueAndGradient(w)
+          val (rv, rg) = Reference.lossValueAndGradient(q0, examples, cfg.lambda, cfg.lambdaC, cfg.lambdaD, m, w)
+          val clue = s"dim $dim n $n $cfg w $wi"
+          assert(doubleToRawLongBits(v) == doubleToRawLongBits(rv), clue)
+          assert(g.map(doubleToRawLongBits).sameElements(rg.map(doubleToRawLongBits)), clue)
+        }
+      }
     }
   }
 }
