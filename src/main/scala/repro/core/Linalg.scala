@@ -26,15 +26,30 @@ object Linalg {
   def norm(a: Array[Float]): Double = math.sqrt(dot(a, a))
   def normD(a: Array[Double]): Double = math.sqrt(dotDD(a, a))
 
+  // Plain loops here and below: `Array.map` writes through a generic array
+  // update that boxes every element, which costs more than the arithmetic.
+
   /** Unit-normalized copy; the zero vector normalizes to itself. */
   def normalize(a: Array[Float]): Array[Float] = {
     val n = norm(a)
-    if (n < 1e-12) a.clone() else a.map(v => (v / n).toFloat)
+    if (n < 1e-12) a.clone()
+    else {
+      val out = new Array[Float](a.length)
+      var i = 0
+      while (i < a.length) { out(i) = (a(i) / n).toFloat; i += 1 }
+      out
+    }
   }
 
   def normalizeD(a: Array[Double]): Array[Double] = {
     val n = normD(a)
-    if (n < 1e-12) a.clone() else a.map(_ / n)
+    if (n < 1e-12) a.clone()
+    else {
+      val out = new Array[Double](a.length)
+      var i = 0
+      while (i < a.length) { out(i) = a(i) / n; i += 1 }
+      out
+    }
   }
 
   /** y += alpha * x (in place). */
@@ -48,7 +63,12 @@ object Linalg {
     while (i < x.length) { y(i) += alpha * x(i); i += 1 }
   }
 
-  def scale(alpha: Double, x: Array[Double]): Array[Double] = x.map(_ * alpha)
+  def scale(alpha: Double, x: Array[Double]): Array[Double] = {
+    val out = new Array[Double](x.length)
+    var i = 0
+    while (i < x.length) { out(i) = x(i) * alpha; i += 1 }
+    out
+  }
 
   def sub(a: Array[Double], b: Array[Double]): Array[Double] = {
     val out = new Array[Double](a.length)
@@ -57,8 +77,6 @@ object Linalg {
     out
   }
 
-  // Plain loops: `Array.map` writes through a generic array update that
-  // boxes every element, which costs more than the conversion.
   def toDouble(a: Array[Float]): Array[Double] = {
     val out = new Array[Double](a.length)
     var i = 0

@@ -64,6 +64,9 @@ final class LocalVectorStore private (sorted: Array[PatchRecord], processors: In
 
   override val nImages: Long = (imgStarts.length - 1).toLong
 
+  /** The id of each image, ascending. */
+  private val imageIds: Array[Long] = imgStarts.init.map(i => imgIds(i))
+
   /** First image of each chunk; the last entry is `nImages`. */
   private val chunkImages: Array[Int] = chunkStarts.map(java.util.Arrays.binarySearch(imgStarts, _))
 
@@ -74,47 +77,54 @@ final class LocalVectorStore private (sorted: Array[PatchRecord], processors: In
     require(k > 0, "k must be positive")
     require(q.forall(v => !v.isNaN && !v.isInfinite), "query has a non-finite component")
     val qb = prefix.query(q)
+    // The indices of the excluded images in the store.
+    val excluded = exclude.iterator.map(java.util.Arrays.binarySearch(imageIds, _)).filter(_ >= 0).toArray
     val bar = new AtomicLong(java.lang.Double.doubleToRawLongBits(Double.NegativeInfinity))
-    if (nChunks == 1) scanChunk(0, q, qb, k, exclude, bar).toIndexedSeq
+    if (nChunks == 1) scanChunk(0, q, qb, k, excluded, bar).toIndexedSeq
     else {
       val perChunk = new Array[Array[ImageHit]](nChunks)
       java.util.stream.IntStream.range(0, nChunks).parallel().forEach { c =>
-        perChunk(c) = scanChunk(c, q, qb, k, exclude, bar)
+        perChunk(c) = scanChunk(c, q, qb, k, excluded, bar)
       }
       perChunk.flatten.sorted(BestFirst).take(k).toIndexedSeq
     }
   }
 
-  /** Top-k unexcluded images of chunk `c`, best first.
+  /** Top-k unexcluded images of chunk `c`, best first; `excluded` holds
+    * image indices.
     *
-    * Pass 1 bounds every unexcluded image by the largest prefix bound of its
-    * rows, and keeps the k images of highest bound. Pass 2 scores those seed
-    * images exactly, then visits the other images in row order and scores
-    * exactly only the rows whose bound reaches τ − margin. τ is the highest
-    * k-th best score any chunk of this lookup has found so far (`bar`), so
-    * it rises as better images are found, here or in another chunk, and is
-    * always at or below the k-th best score of the whole store. A skipped
-    * row's score is strictly below τ, so every image of the store's top-k
-    * has its best row scored (with any row tied with it), and an image whose
-    * best row was skipped ranks below all of them. The merged result is the
-    * full scan's, bit for bit, whatever the chunks' timing.
+    * Pass 1 computes the prefix bound of every row of the chunk at once
+    * (`PrefixTable.bounds`), bounds every unexcluded image by the largest
+    * bound of its rows, and keeps the k images of highest bound. Pass 2
+    * scores those seed images exactly, then visits the other images in row
+    * order and scores exactly only the rows whose bound reaches τ − margin.
+    * τ is the highest k-th best score any chunk of this lookup has found so
+    * far (`bar`), so it rises as better images are found, here or in another
+    * chunk, and is always at or below the k-th best score of the whole
+    * store. A skipped row's score is strictly below τ, so every image of the
+    * store's top-k has its best row scored (with any row tied with it), and
+    * an image whose best row was skipped ranks below all of them. The merged
+    * result is the full scan's, bit for bit, whatever the chunks' timing.
     */
-  private def scanChunk(c: Int, q: Array[Float], qb: PrefixTable.Query, k: Int, exclude: Set[Long],
+  private def scanChunk(c: Int, q: Array[Float], qb: PrefixTable.Query, k: Int, excluded: Array[Int],
       bar: AtomicLong): Array[ImageHit] = {
     val first = chunkImages(c)
     val last = chunkImages(c + 1)
+    val from = chunkStarts(c)
+    // Row bounds: entry i - from is row i's.
+    val rowBound = prefix.bounds(qb, from, chunkStarts(c + 1))
     // Image bounds; NaN, which no threshold reaches, marks an image excluded
     // or already scored.
     val imgBound = new Array[Double](last - first)
+    excluded.foreach(m => if (m >= first && m < last) imgBound(m - first) = Double.NaN)
     // The k images of highest bound, as hits of (image index, bound).
     val seeds = LocalVectorStore.topK()
     var m = first
     while (m < last) {
-      if (exclude.contains(imgIds(imgStarts(m)))) imgBound(m - first) = Double.NaN
-      else {
+      if (!java.lang.Double.isNaN(imgBound(m - first))) {
         var b = Double.NegativeInfinity
         var i = imgStarts(m)
-        while (i < imgStarts(m + 1)) { b = math.max(b, prefix.bound(i, qb)); i += 1 }
+        while (i < imgStarts(m + 1)) { b = math.max(b, rowBound(i - from)); i += 1 }
         imgBound(m - first) = b
         LocalVectorStore.offer(seeds, k, m, 0, b)
       }
@@ -123,37 +133,38 @@ final class LocalVectorStore private (sorted: Array[PatchRecord], processors: In
     val top = LocalVectorStore.topK()
     seeds.foreach { s =>
       val seed = s.imgId.toInt
-      scoreImage(top, k, seed, q, qb, Double.NegativeInfinity)
+      scoreImage(top, k, seed, q, rowBound, from, Double.NegativeInfinity)
       imgBound(seed - first) = Double.NaN
     }
     m = first
     while (m < last) {
       if (top.size == k) LocalVectorStore.raise(bar, top.head.score)
       val lim = java.lang.Double.longBitsToDouble(bar.get) - qb.margin
-      if (imgBound(m - first) >= lim) scoreImage(top, k, m, q, qb, lim)
+      if (imgBound(m - first) >= lim) scoreImage(top, k, m, q, rowBound, from, lim)
       m += 1
     }
     top.dequeueAll.reverse.toArray
   }
 
   /** Offer image `m` to `top` with its best score over the rows whose bound
-    * reaches `lim`, each scored with `Linalg.dot` in row order, the first
-    * best row kept. At `lim` = −∞ every row is scored; otherwise the image's
-    * bound reaches `lim`, so at least its row of highest bound is.
+    * (`rowBound(i - from)` for row i) reaches `lim`, each scored with
+    * `Linalg.dot` in row order, the first best row kept. At `lim` = −∞ every
+    * row is scored; otherwise the image's bound reaches `lim`, so at least
+    * its row of highest bound is.
     */
-  private def scoreImage(top: LocalVectorStore.TopK, k: Int, m: Int, q: Array[Float], qb: PrefixTable.Query,
-      lim: Double): Unit = {
+  private def scoreImage(top: LocalVectorStore.TopK, k: Int, m: Int, q: Array[Float], rowBound: Array[Double],
+      from: Int, lim: Double): Unit = {
     var best = Double.NegativeInfinity
     var bestPatch = -1
     var i = imgStarts(m)
     while (i < imgStarts(m + 1)) {
-      if (lim == Double.NegativeInfinity || prefix.bound(i, qb) >= lim) {
+      if (lim == Double.NegativeInfinity || rowBound(i - from) >= lim) {
         val s = Linalg.dot(vecs(i), q)
         if (s > best) { best = s; bestPatch = patchIds(i) }
       }
       i += 1
     }
-    LocalVectorStore.offer(top, k, imgIds(imgStarts(m)), bestPatch, best)
+    LocalVectorStore.offer(top, k, imageIds(m), bestPatch, best)
   }
 }
 

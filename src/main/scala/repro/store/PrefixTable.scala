@@ -41,14 +41,24 @@ import repro.core.Linalg
   * for any τ at or below the k-th best score: the row cannot reach τ. The
   * table only decides which rows to score; the scores come from the
   * unchanged exact kernel.
+  *
+  * Layout. The codes are stored component-major, four rows to an `Int`:
+  * for each block of `BlockRows` rows and each component j one array whose
+  * entry g holds c_j of the block's rows 4g, 4g+1, 4g+2 and 4g+3 in its
+  * bytes, low byte first (a partial last block pads its last entry with
+  * zero codes). That is r bytes a row, as a row-major layout, but `bounds`
+  * can then sum Σ_j c_j·W_j for four rows at once in loops that read the
+  * codes and update the sums at the same index, which C2 vectorizes; it
+  * does not vectorize a byte-to-int loop, nor an int loop whose source
+  * index carries an offset.
   */
-private[store] final class PrefixTable private (
+private[repro] final class PrefixTable private (
     val dim: Int,
     val r: Int,
     val basis: Array[Double], // r × dim, row-major, orthonormal rows
     val scales: Array[Double], // s_j
-    codes: Array[Array[Byte]], // per block of `BlockRows` rows, row-major, r per row
-    resid: Array[Byte], // ‖x − Pᵀy‖ per row, rounded up to a multiple of residStep, unsigned
+    private[repro] val codes: Array[Array[Array[Int]]], // per block, per component: four rows' codes per entry
+    private[repro] val resid: Array[Byte], // ‖x − Pᵀy‖ per row, rounded up to a multiple of residStep, unsigned
     val residStep: Double,
     val maxNorm: Double, // X
 ) extends Serializable {
@@ -114,19 +124,76 @@ private[store] final class PrefixTable private (
     new Query(weights, step, residStep * Linalg.normD(perp), quant + Slack * maxNorm * Linalg.norm(q))
   }
 
-  /** bound(x) for row `i`: its score is at most this plus `qb.margin`. */
-  def bound(i: Int, qb: Query): Double = {
-    val w = qb.weights
-    val block = codes(i >>> BlockShift)
-    var a = 0
-    var j = 0
-    val o = (i & (BlockRows - 1)) * r
-    while (j < r) { a += block(o + j) * w(j); j += 1 }
-    a * qb.step + (resid(i) & 0xff) * qb.residWeight
+  /** bound(x) of the rows [from, until): the score of row from + t is at
+    * most entry t plus `qb.margin`.
+    *
+    * Per block, four lane sums run over the entries [gs, ge) that hold the
+    * range's rows, lane l summing the l-th byte of each entry, so each
+    * lane's loop reads a component's codes and updates its sums at the same
+    * index. For a range inside one block they end at the range's last
+    * entry, so a small store's lookup allocates sums for its own rows, not
+    * a block's. The integer sums are exact in any order, so every bound is
+    * the row-at-a-time T·Σ_j c_j·W_j + ρ·‖q_⊥‖'s.
+    */
+  def bounds(qb: Query, from: Int, until: Int): Array[Double] = {
+    val out = new Array[Double](until - from)
+    if (until > from) {
+      val w = qb.weights
+      val step = qb.step
+      val rw = qb.residWeight
+      val lastBlock = (until - 1) >>> BlockShift
+      var b = from >>> BlockShift
+      val len = if (b == lastBlock) (((until - 1) & (BlockRows - 1)) >>> 2) + 1 else BlockRows >>> 2
+      val a0 = new Array[Int](len); val a1 = new Array[Int](len)
+      val a2 = new Array[Int](len); val a3 = new Array[Int](len)
+      while (b <= lastBlock) {
+        val base = b << BlockShift
+        val lo = math.max(from, base) - base
+        val hi = math.min(until, base + BlockRows) - base
+        val gs = lo >>> 2
+        val ge = (hi + 3) >>> 2
+        java.util.Arrays.fill(a0, gs, ge, 0); java.util.Arrays.fill(a1, gs, ge, 0)
+        java.util.Arrays.fill(a2, gs, ge, 0); java.util.Arrays.fill(a3, gs, ge, 0)
+        val block = codes(b)
+        var j = 0
+        while (j < r) {
+          val p = block(j)
+          val wj = w(j)
+          var g = gs
+          while (g < ge) { a0(g) += ((p(g) << 24) >> 24) * wj; g += 1 }
+          g = gs
+          while (g < ge) { a1(g) += ((p(g) << 16) >> 24) * wj; g += 1 }
+          g = gs
+          while (g < ge) { a2(g) += ((p(g) << 8) >> 24) * wj; g += 1 }
+          g = gs
+          while (g < ge) { a3(g) += (p(g) >> 24) * wj; g += 1 }
+          j += 1
+        }
+        var t = lo
+        // The rows before the first whole entry, then four rows per entry, then the rest.
+        while (t < hi && (t & 3) != 0) { out(base + t - from) = lane(a0, a1, a2, a3, t) * step + (resid(base + t) & 0xff) * rw; t += 1 }
+        while (t + 4 <= hi) {
+          val g = t >>> 2
+          val o = base + t - from
+          val ri = base + t
+          out(o) = a0(g) * step + (resid(ri) & 0xff) * rw
+          out(o + 1) = a1(g) * step + (resid(ri + 1) & 0xff) * rw
+          out(o + 2) = a2(g) * step + (resid(ri + 2) & 0xff) * rw
+          out(o + 3) = a3(g) * step + (resid(ri + 3) & 0xff) * rw
+          t += 4
+        }
+        while (t < hi) { out(base + t - from) = lane(a0, a1, a2, a3, t) * step + (resid(base + t) & 0xff) * rw; t += 1 }
+        b += 1
+      }
+    }
+    out
   }
+
+  private def lane(a0: Array[Int], a1: Array[Int], a2: Array[Int], a3: Array[Int], t: Int): Int =
+    (t & 3) match { case 0 => a0(t >>> 2) case 1 => a1(t >>> 2) case 2 => a2(t >>> 2) case _ => a3(t >>> 2) }
 }
 
-private[store] object PrefixTable {
+private[repro] object PrefixTable {
   /** Basis size r, at one byte a row each. On the LVIS-like corpus at sf
     * 0.2 (62.4K rows) and 120 perturbed text queries, the rows whose bound
     * reaches the top-1 score were 0.38% at the median and 2.7% at p90 with
@@ -149,12 +216,13 @@ private[store] object PrefixTable {
     */
   private val MaxWeight = 32767.0
 
-  /** Rows per block of codes. At r ≤ 64 a block is at most 256 KB, below
-    * the size at which G1 gives an array whole regions of its own (half a
-    * region, at least 512 KB), so the table costs its own size in heap.
+  /** Rows per block of codes. A block's array per component is 4 KB, far
+    * below the size at which G1 gives an array whole regions of its own
+    * (half a region, at least 512 KB), so the table costs its own size in
+    * heap, plus 16 bytes of header per array.
     */
   private val BlockShift = 12
-  private val BlockRows = 1 << BlockShift
+  private[repro] val BlockRows = 1 << BlockShift
 
   /** Rows projected per parallel task at build, few enough that a store of
     * a few thousand rows still spreads over the cores.
@@ -240,15 +308,23 @@ private[store] object PrefixTable {
     val resid = new Array[Byte](n)
     val scales = Array.tabulate(r)(j => maxAbs(j) / 127)
     val nBlocks = (n + BlockRows - 1) / BlockRows
-    val codes = new Array[Array[Byte]](nBlocks)
+    val codes = new Array[Array[Array[Int]]](nBlocks)
     java.util.stream.IntStream.range(0, nBlocks).parallel().forEach { b =>
       val first = b * BlockRows
-      val block = new Array[Byte]((math.min(n, first + BlockRows) - first) * r)
-      var i = 0
-      while (i < block.length) {
-        val s = scales(i % r)
-        if (s > 0) block(i) = math.max(-127L, math.min(127L, math.round(y(first * r + i) / s))).toByte
-        i += 1
+      val rows = math.min(n, first + BlockRows) - first
+      val block = Array.fill(r)(new Array[Int]((rows + 3) >>> 2))
+      var t = 0
+      while (t < rows) {
+        var j = 0
+        while (j < r) {
+          val s = scales(j)
+          if (s > 0) {
+            val c = math.max(-127L, math.min(127L, math.round(y((first + t) * r + j) / s))).toInt
+            block(j)(t >>> 2) |= (c & 0xff) << (8 * (t & 3))
+          }
+          j += 1
+        }
+        t += 1
       }
       codes(b) = block
       for (row <- first until math.min(n, first + BlockRows) if residStep > 0) {

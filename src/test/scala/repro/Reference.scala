@@ -5,7 +5,7 @@ import repro.core.{Example, Linalg, LossFunction}
 import repro.data.{DatasetSpec, ImageCorpus}
 import repro.embed.PatchRecord
 import repro.graph.{DbAlignMatrix, KnnGraph}
-import repro.store.ImageHit
+import repro.store.{ImageHit, PrefixTable}
 
 /** Reference computations that only the tests use: the exact top-k images
   * and kNN graph by brute force, ground truth read straight from the image
@@ -22,6 +22,18 @@ object Reference {
       val scored = rows.map(r => ImageHit(r.imgId, r.patchId, Linalg.dot(r.vec, q)))
       scored.minBy(h => (-h.score, h.patchId))
     }.toIndexedSeq.sortBy(h => (-h.score, h.imgId)).take(k)
+
+  /** The prefix bound of row `i` alone (`PrefixTable`'s doc): its r codes
+    * read one at a time from their packed lanes, dotted with the integer
+    * weights in component order, then T·Σ_j c_j·W_j + ρ·‖q_⊥‖.
+    */
+  def prefixBound(t: PrefixTable, i: Int, qb: PrefixTable.Query): Double = {
+    val block = t.codes(i / PrefixTable.BlockRows)
+    val row = i % PrefixTable.BlockRows
+    var a = 0
+    for (j <- 0 until t.r) a += (block(j)(row / 4) >>> (8 * (row % 4))).toByte * qb.weights(j)
+    a * qb.step + (t.resid(i) & 0xff) * qb.residWeight
+  }
 
   /** Exact kNN graph by exhaustive pairwise distances — O(n²d). */
   def knnBruteForce(vecs: IndexedSeq[Array[Float]], k: Int, sigma: Double): KnnGraph = {

@@ -61,6 +61,24 @@ class LinalgSpec extends AnyFunSuite {
     assert(Linalg.sub(dv(3, 3), dv(1, 2)).sameElements(dv(2, 1)))
   }
 
+  test("scale, normalize and normalizeD equal their Array.map expressions bit for bit") {
+    import java.lang.Double.doubleToRawLongBits
+    import java.lang.Float.floatToRawIntBits
+    val floats = (0 until 6).map(s => Rng.gaussianVector(Rng.key(93, s.toLong), 1 + 37 * s)) ++
+      Seq(fv(3, 4), fv(1e-30, -2e-30), fv(1e-10, 3e-11), fv(1e30, 3e30, -1))
+    for (a <- floats) {
+      val n = Linalg.norm(a)
+      val old = if (n < 1e-12) a.clone() else a.map(v => (v / n).toFloat)
+      assert(Linalg.normalize(a).map(floatToRawIntBits).toSeq == old.map(floatToRawIntBits).toSeq)
+      val d = Linalg.toDouble(a).map(_ * 1.5)
+      val nd = Linalg.normD(d)
+      val oldD = if (nd < 1e-12) d.clone() else d.map(_ / nd)
+      assert(Linalg.normalizeD(d).map(doubleToRawLongBits).toSeq == oldD.map(doubleToRawLongBits).toSeq)
+      for (alpha <- Seq(-1.0, 0.1, -0.0, 3e-300))
+        assert(Linalg.scale(alpha, d).map(doubleToRawLongBits).toSeq == d.map(_ * alpha).map(doubleToRawLongBits).toSeq)
+    }
+  }
+
   test("toDouble/toFloat round-trip") {
     val v = fv(0.25, -1.5)
     assert(Linalg.toFloat(Linalg.toDouble(v)).sameElements(v))

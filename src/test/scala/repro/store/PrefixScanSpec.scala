@@ -105,9 +105,41 @@ class PrefixScanSpec extends SparkSpec {
       val store = new LocalVectorStore(records)
       for ((q, qi) <- queries(records).zipWithIndex) {
         val qb = store.prefix.query(q)
+        val bounds = store.prefix.bounds(qb, 0, store.vecs.length)
         for (i <- store.vecs.indices) {
           val score = Linalg.dot(store.vecs(i), q)
-          assert(score <= store.prefix.bound(i, qb) + qb.margin, s"$name query $qi row $i")
+          assert(score <= bounds(i) + qb.margin, s"$name query $qi row $i")
+        }
+      }
+    }
+  }
+
+  test("bounds over any sub-range equal the full range's and the one-row reference's") {
+    import java.lang.Double.{doubleToRawLongBits => raw}
+    val n = PrefixTable.BlockRows
+    val tables = Seq(
+      "narrow" -> narrow.map(_.vec).toArray,
+      "three rows" -> duplicates.take(3).map(_.vec).toArray) ++
+      Seq(n - 1, n + 1, 2 * n - 1, 2 * n + 1).map(rows => s"$rows rows" -> Array.tabulate(rows)(i => gauss(Rng.key(39, i.toLong), 24)))
+    for ((name, vecs) <- tables) {
+      val t = PrefixTable.build(vecs)
+      val rows = vecs.length
+      val ranges = Seq((0, rows), (1, rows), (0, rows - 1), (3, math.min(rows, 9)), (rows / 2, rows / 2 + 1),
+        (rows - 1, rows), (rows, rows), (math.min(rows, n - 3), math.min(rows, n + 2)),
+        (math.min(rows, 5), math.min(rows, 2 * n - 7)), (math.min(rows, n), rows)).filter { case (a, b) => a <= b }
+      val dim = vecs(0).length
+      val qs = (0 until 3).map(s => Linalg.normalize(gauss(Rng.key(35, s.toLong), dim))) ++
+        Seq(vecs(0), vecs(rows - 1).map(-_), gauss(Rng.key(36, 1L), dim).map(_ * 1e12f))
+      for ((q, qi) <- qs.zipWithIndex) {
+        val qb = t.query(q)
+        val full = t.bounds(qb, 0, rows)
+        assert(full.length == rows)
+        for (i <- 0 until rows)
+          assert(raw(full(i)) == raw(Reference.prefixBound(t, i, qb)), s"$name query $qi row $i")
+        for ((a, b) <- ranges) {
+          val sub = t.bounds(qb, a, b)
+          assert(sub.length == b - a)
+          for (i <- a until b) assert(raw(sub(i - a)) == raw(full(i)), s"$name query $qi range [$a, $b) row $i")
         }
       }
     }
@@ -119,7 +151,7 @@ class PrefixScanSpec extends SparkSpec {
       val q = if (s % 2 == 0) Linalg.normalize(gauss(Rng.key(37, s.toLong), spec.dim)) else spec.conceptSpace.textEmbedding(s % spec.nCats)
       val qb = store.prefix.query(q)
       val best = store.topImages(q, 1).head.score
-      store.vecs.indices.count(i => store.prefix.bound(i, qb) + qb.margin < best).toDouble / store.vecs.length
+      store.prefix.bounds(qb, 0, store.vecs.length).count(_ + qb.margin < best).toDouble / store.vecs.length
     }
     assert(ruledOut.sum / ruledOut.size > 0.5, ruledOut)
   }
