@@ -21,11 +21,9 @@ object Platt {
   /** L2 penalty on (A, B): keeps the fit finite when the data is separable. */
   private val Ridge = 1e-6
 
-  /** Fit (A, B) on (score, label) pairs. */
-  def fit(scores: IndexedSeq[Double], labels: IndexedSeq[Boolean]): PlattModel = {
-    require(scores.length == labels.length, "scores/labels length mismatch")
-    require(scores.nonEmpty, "cannot calibrate on no data")
-    val objective = new LBFGS.Objective {
+  /** The regularized negative log-likelihood of (A, B) and its gradient. */
+  private[repro] def objective(scores: IndexedSeq[Double], labels: IndexedSeq[Boolean]): LBFGS.Objective =
+    new LBFGS.Objective {
       override def valueAndGradient(x: Array[Double]): (Double, Array[Double]) = {
         val a = x(0); val b = x(1)
         var loss = Ridge * (a * a + b * b)
@@ -43,7 +41,12 @@ object Platt {
         (loss, Array(ga, gb))
       }
     }
-    val res = LBFGS.minimize(objective, Array(1.0, 0.0), maxIters = 200, gradTol = 1e-7)
+
+  /** Fit (A, B) on (score, label) pairs. */
+  def fit(scores: IndexedSeq[Double], labels: IndexedSeq[Boolean]): PlattModel = {
+    require(scores.length == labels.length, "scores/labels length mismatch")
+    require(scores.nonEmpty, "cannot calibrate on no data")
+    val res = LBFGS.minimize(objective(scores, labels), Array(1.0, 0.0), maxIters = 200, gradTol = 1e-7)
     PlattModel(res.x(0), res.x(1))
   }
 }

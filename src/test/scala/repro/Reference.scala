@@ -1,7 +1,7 @@
 package repro
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.core.{Example, Linalg, LossFunction}
+import repro.core.{Example, LBFGS, Linalg, LossFunction}
 import repro.data.{DatasetSpec, ImageCorpus}
 import repro.embed.PatchRecord
 import repro.graph.{DbAlignMatrix, KnnGraph}
@@ -167,5 +167,118 @@ object Reference {
       }
     }
     (loss, grad)
+  }
+
+  /** `LBFGS.minimize` as it was before lines existed: every line-search
+    * trial evaluates `valueAndGradient` at a fresh x + a·d, and the accepted
+    * point is that trial's. `evaluations` counts those trials, not the
+    * re-evaluation of a collapsed zoom's best point.
+    */
+  def lbfgsMinimize(f: LBFGS.Objective, x0: Array[Double], maxIters: Int = 100, gradTol: Double = 1e-6): LBFGS.Result = {
+    val C1 = 1e-4; val C2 = 0.9; val Memory = 10
+    def infNorm(v: Array[Double]): Double = v.foldLeft(0.0)((m, a) => if (math.abs(a) > m) math.abs(a) else m)
+    var trials = 0
+
+    def twoLoop(g: Array[Double], sHist: collection.Seq[Array[Double]], yHist: collection.Seq[Array[Double]],
+        rhoHist: collection.Seq[Double]): Array[Double] = {
+      val q = g.clone()
+      val k = sHist.size
+      val alpha = new Array[Double](k)
+      var i = k - 1
+      while (i >= 0) {
+        alpha(i) = rhoHist(i) * Linalg.dotDD(sHist(i), q)
+        Linalg.axpyD(-alpha(i), yHist(i), q)
+        i -= 1
+      }
+      if (k > 0) {
+        val y = yHist(k - 1); val s = sHist(k - 1)
+        val gamma = Linalg.dotDD(s, y) / math.max(Linalg.dotDD(y, y), 1e-12)
+        var j = 0
+        while (j < q.length) { q(j) *= gamma; j += 1 }
+      }
+      i = 0
+      while (i < k) {
+        val beta = rhoHist(i) * Linalg.dotDD(yHist(i), q)
+        Linalg.axpyD(alpha(i) - beta, sHist(i), q)
+        i += 1
+      }
+      Linalg.scale(-1.0, q)
+    }
+
+    def wolfeSearch(x: Array[Double], f0: Double, g0: Array[Double],
+        d: Array[Double]): Option[(Array[Double], Double, Array[Double])] = {
+      val dphi0 = Linalg.dotDD(g0, d)
+      if (dphi0 >= 0) return None
+      def eval(a: Double): (Array[Double], Double, Array[Double], Double) = {
+        val xa = x.clone()
+        Linalg.axpyD(a, d, xa)
+        val (fa, ga) = f.valueAndGradient(xa)
+        (xa, fa, ga, Linalg.dotDD(ga, d))
+      }
+      def trial(a: Double) = { trials += 1; eval(a) }
+      def zoom(lo0: Double, fLo0: Double, hi0: Double): Option[(Array[Double], Double, Array[Double])] = {
+        var lo = lo0; var fLo = fLo0; var hi = hi0
+        var i = 0
+        while (i < 30) {
+          val a = (lo + hi) / 2.0
+          val (xa, fa, ga, dphi) = trial(a)
+          if (fa > f0 + C1 * a * dphi0 || fa >= fLo) hi = a
+          else {
+            if (math.abs(dphi) <= -C2 * dphi0) return Some((xa, fa, ga))
+            if (dphi * (hi - lo) >= 0) hi = lo
+            lo = a; fLo = fa
+          }
+          if (math.abs(hi - lo) < 1e-14 * math.max(1.0, math.abs(lo)))
+            return if (fLo < f0) Some(eval(lo) match { case (xa2, fa2, ga2, _) => (xa2, fa2, ga2) }) else None
+          i += 1
+        }
+        if (fLo < f0) Some(eval(lo) match { case (xa2, fa2, ga2, _) => (xa2, fa2, ga2) }) else None
+      }
+      var aPrev = 0.0
+      var fPrev = f0
+      var a = 1.0
+      var i = 0
+      while (i < 20) {
+        val (xa, fa, ga, dphi) = trial(a)
+        if (fa > f0 + C1 * a * dphi0 || (i > 0 && fa >= fPrev)) return zoom(aPrev, fPrev, a)
+        if (math.abs(dphi) <= -C2 * dphi0) return Some((xa, fa, ga))
+        if (dphi >= 0) return zoom(a, fa, aPrev)
+        aPrev = a; fPrev = fa
+        a = math.min(a * 2.0, 1e6)
+        i += 1
+      }
+      None
+    }
+
+    var x = x0.clone()
+    var (fx, g) = f.valueAndGradient(x)
+    val sHist = scala.collection.mutable.ArrayDeque.empty[Array[Double]]
+    val yHist = scala.collection.mutable.ArrayDeque.empty[Array[Double]]
+    val rhoHist = scala.collection.mutable.ArrayDeque.empty[Double]
+    var iter = 0
+    var converged = infNorm(g) < gradTol
+    var stalled = false
+    while (iter < maxIters && !converged && !stalled) {
+      val dir = twoLoop(g, sHist, yHist, rhoHist)
+      val d = if (Linalg.dotDD(dir, g) >= 0) Linalg.scale(-1.0, g) else dir
+      wolfeSearch(x, fx, g, d) match {
+        case Some((xNew, fNew, gNew)) =>
+          val s = Linalg.sub(xNew, x)
+          val y = Linalg.sub(gNew, g)
+          val sy = Linalg.dotDD(s, y)
+          if (sy > 1e-12) {
+            sHist.append(s); yHist.append(y); rhoHist.append(1.0 / sy)
+            if (sHist.size > Memory) { sHist.removeHead(); yHist.removeHead(); rhoHist.removeHead() }
+          }
+          x = xNew; fx = fNew; g = gNew
+          converged = infNorm(g) < gradTol
+        case None if sHist.nonEmpty =>
+          sHist.clear(); yHist.clear(); rhoHist.clear()
+        case None =>
+          stalled = true
+      }
+      iter += 1
+    }
+    LBFGS.Result(x, fx, iter, trials, converged)
   }
 }

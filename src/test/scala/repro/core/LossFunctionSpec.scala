@@ -1,5 +1,7 @@
 package repro.core
 
+import java.lang.Double.doubleToRawLongBits
+
 import org.scalatest.funsuite.AnyFunSuite
 import repro.Reference
 import repro.graph.DbAlignMatrix
@@ -163,5 +165,119 @@ class LossFunctionSpec extends AnyFunSuite {
         }
       }
     }
+  }
+
+  private val Configs = Seq(AlignerConfig.FewShot, AlignerConfig.QueryAlign, AlignerConfig.SeeSaw)
+
+  private def lossFor(cfg: AlignerConfig, q0: Array[Float], examples: IndexedSeq[Example]): LossFunction =
+    new LossFunction(q0, examples, cfg.lambda, cfg.lambdaC, cfg.lambdaD, if (cfg.lambdaD > 0) Some(psdMatrix(46)) else None)
+
+  /** |got − want| within `tol` of `scale`, the size of what was summed. */
+  private def assertClose(got: Double, want: Double, scale: Double, clue: => String, tol: Double = 1e-10): Unit =
+    assert(math.abs(got - want) <= tol * math.max(1.0, scale), s"$clue: $got vs $want")
+
+  /** Keeps the loss's own point and line and remembers the last point made. */
+  private final class LastPoint(loss: LossFunction) extends LBFGS.Objective {
+    var last: LBFGS.Point = _
+    override def valueAndGradient(x: Array[Double]): (Double, Array[Double]) = loss.valueAndGradient(x)
+    override def point(x: Array[Double]): LBFGS.Point = { last = loss.point(x); last }
+    override def line(p: LBFGS.Point, d: Array[Double]): LBFGS.Line = {
+      val l = loss.line(p, d)
+      new LBFGS.Line {
+        override def phi(a: Double): Double = l.phi(a)
+        override def slope(a: Double): Double = l.slope(a)
+        override def at(a: Double): LBFGS.Point = { last = l.at(a); last }
+      }
+    }
+  }
+
+  test("the projected line agrees with full evaluations at x + a·d") {
+    val q0 = unit(101)
+    val u = unit(102)
+    val ud = Linalg.toDouble(u)
+    val rnd = Linalg.toDouble(Rng.gaussianVector(103, Dim))
+    // A random line; one whose logit on example 0 (= u) starts at 50; and
+    // one that starts below MinNorm = 1e-8 and stays there for a ≤ 1.
+    val lines = Seq(
+      ("random", Linalg.toDouble(Rng.gaussianVector(104, Dim)), rnd),
+      ("saturated", Linalg.scale(5.0, ud), Linalg.scale(0.1, rnd)),
+      ("near zero", Linalg.scale(0.5e-8, ud), Linalg.scale(1e-9, rnd)))
+    assert(LossFunction.FeatureScale * Linalg.dotDD(lines(1)._2, ud) > 40)
+    assert(Linalg.normD(lines(2)._2) < 1e-8 && Linalg.normD(lines(2)._2) + Linalg.normD(lines(2)._3) < 1e-8)
+    for (n <- Seq(1, 3, 4, 5, 67); cfg <- Configs; (name, x, d) <- lines; a <- Seq(0.0, 1e-12, 1.0, 1e3)) {
+      val clue = s"n $n $cfg $name a $a"
+      val loss = lossFor(cfg, q0, Example(u, positive = false) +: randomExamples(n - 1, 105))
+      val line = loss.line(loss.point(x.clone()), d)
+      val xa = x.clone()
+      Linalg.axpyD(a, d, xa)
+      val (f, g) = loss.valueAndGradient(xa)
+      val slopeScale = g.indices.map(j => math.abs(g(j) * d(j))).sum
+      val gScale = g.map(math.abs).max
+      val phi = line.phi(a)
+      assertClose(phi, f, math.abs(f), s"$clue phi")
+      assertClose(line.slope(a), Linalg.dotDD(g, d), slopeScale, s"$clue slope")
+      val pa = line.at(a)
+      assert(pa.x.map(doubleToRawLongBits).sameElements(xa.map(doubleToRawLongBits)), clue)
+      assert(doubleToRawLongBits(pa.f) == doubleToRawLongBits(phi), s"$clue: at(a) re-reads phi(a)'s value")
+      for (j <- g.indices) assertClose(pa.g(j), g(j), gScale, s"$clue g($j)")
+      // A fresh line's at(a) with no trial before it is the same point.
+      val again = loss.line(loss.point(x.clone()), d).at(a)
+      assert(doubleToRawLongBits(again.f) == doubleToRawLongBits(pa.f), clue)
+      assert(again.g.map(doubleToRawLongBits).sameElements(pa.g.map(doubleToRawLongBits)), clue)
+    }
+  }
+
+  test("after an 80-iteration solve the carried point matches a fresh evaluation") {
+    for (cfg <- Configs) {
+      val q0 = unit(111)
+      val loss = lossFor(cfg, q0, randomExamples(67, 112))
+      val tracked = new LastPoint(loss)
+      val res = LBFGS.minimize(tracked, Linalg.toDouble(q0), maxIters = 80, gradTol = 0.0)
+      // Without λ_D the solve stalls at rounding level in under 20
+      // iterations; SeeSaw's runs all 80.
+      if (cfg == AlignerConfig.SeeSaw) assert(res.iterations == 80)
+      val last = tracked.last
+      assert(res.x eq last.x, s"$cfg")
+      val (f, g) = loss.valueAndGradient(last.x)
+      assertClose(last.f, f, math.abs(f), s"$cfg f", tol = 1e-9)
+      for (j <- g.indices) assertClose(last.g(j), g(j), g.map(math.abs).max, s"$cfg g($j)", tol = 1e-9)
+    }
+  }
+
+  test("a loss wrapped to keep the full-evaluation line solves bit-identically to the pre-line L-BFGS") {
+    for (cfg <- Configs; seed <- 0 until 4) {
+      val q0 = unit(Rng.key(120, seed))
+      val loss = lossFor(cfg, q0, randomExamples(5 + 20 * seed, Rng.key(121, seed)))
+      val wrapped: LBFGS.Objective = (w: Array[Double]) => loss.valueAndGradient(w)
+      val x0 = Linalg.toDouble(q0)
+      val got = LBFGS.minimize(wrapped, x0, maxIters = 80, gradTol = 1e-5)
+      val want = Reference.lbfgsMinimize(wrapped, x0, maxIters = 80, gradTol = 1e-5)
+      val clue = s"$cfg seed $seed: $got vs $want"
+      assert(got.x.map(doubleToRawLongBits).sameElements(want.x.map(doubleToRawLongBits)), clue)
+      assert(doubleToRawLongBits(got.value) == doubleToRawLongBits(want.value), clue)
+      assert(got.iterations == want.iterations && got.evaluations == want.evaluations, clue)
+      assert(got.converged == want.converged, clue)
+      // Where the full line converges, the projected line reaches the same
+      // minimizer to rounding.
+      if (got.converged) {
+        val projected = LBFGS.minimize(loss, x0, maxIters = 80, gradTol = 1e-5)
+        assert(projected.converged, clue)
+        for (j <- x0.indices) assertClose(projected.x(j), got.x(j), Linalg.normD(got.x), s"$clue x($j)", tol = 1e-6)
+      }
+    }
+  }
+
+  test("a loss line rejects a wrong-length direction and a point the loss did not make") {
+    val q0 = unit(131)
+    val loss = lossFor(AlignerConfig.SeeSaw, q0, randomExamples(6, 132))
+    val other = lossFor(AlignerConfig.SeeSaw, q0, randomExamples(6, 132))
+    val x = Linalg.toDouble(q0)
+    val d = Linalg.toDouble(unit(133))
+    val p = loss.point(x)
+    assertThrows[IllegalArgumentException](loss.line(p, Array(1.0)))
+    assertThrows[IllegalArgumentException](loss.line(p, new Array[Double](Dim + 1)))
+    assertThrows[IllegalArgumentException](loss.line(other.point(x), d))
+    assertThrows[IllegalArgumentException](loss.line(new LBFGS.Point(loss, x, p.f, p.g), d))
+    assert(loss.line(p, d).phi(0.0).isFinite)
   }
 }
