@@ -14,6 +14,25 @@ object LossFunction {
     */
   private final class LossPoint(loss: LossFunction, x: Array[Double], f: Double, g: Array[Double],
       val u: Array[Double], val mx: Array[Double]) extends LBFGS.Point(loss, x, f, g)
+
+  /** The examples' vectors as doubles, row-major n × dim. This loop is a
+    * method of its own, not a field initializer: there `this` sits on the
+    * JVM operand stack at the loop, so the JIT cannot compile the loop on
+    * stack, and every constructor call packs interpreted until the whole
+    * constructor has been compiled.
+    */
+  private def pack(examples: IndexedSeq[Example], dim: Int): Array[Double] = {
+    val n = examples.length
+    val a = new Array[Double](n * dim)
+    var i = 0
+    while (i < n) {
+      val v = examples(i).vec
+      var d = 0
+      while (d < dim) { a(i * dim + d) = v(d); d += 1 }
+      i += 1
+    }
+    a
+  }
 }
 
 /** The SeeSaw query-alignment loss (paper Eq. 1–3, Table 1):
@@ -43,7 +62,7 @@ final class LossFunction(
     lambdaD: Double,
     mD: Option[DbAlignMatrix],
 ) extends LBFGS.Objective {
-  import LossFunction.{FeatureScale, LossPoint}
+  import LossFunction.{FeatureScale, LossPoint, pack}
   require(lambda >= 0 && lambdaC >= 0 && lambdaD >= 0, "penalties must be non-negative")
   require(lambdaD == 0 || mD.isDefined, "λ_D > 0 requires an M_D matrix")
   require(mD.forall(_.dim == q0.length), "M_D dimension mismatch")
@@ -55,17 +74,7 @@ final class LossFunction(
   // The examples packed once, row-major n × dim, and q₀, as doubles: the
   // float → double widening is exact, so every product keeps its bits.
   private val n = examples.length
-  private val xs: Array[Double] = {
-    val a = new Array[Double](n * dim)
-    var i = 0
-    while (i < n) {
-      val v = examples(i).vec
-      var d = 0
-      while (d < dim) { a(i * dim + d) = v(d); d += 1 }
-      i += 1
-    }
-    a
-  }
+  private val xs: Array[Double] = pack(examples, dim)
   private val ys: Array[Double] = examples.map(e => if (e.positive) 1.0 else 0.0).toArray
   private val q0d: Array[Double] = Linalg.toDouble(q0)
 
